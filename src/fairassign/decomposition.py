@@ -11,6 +11,7 @@ deterministic assignment together with its per-round matchings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,6 +26,8 @@ from .model import (
     Lottery,
     RandomAssignment,
     RoundDecomposition,
+    integer_rows,
+    share_sum,
 )
 
 
@@ -51,12 +54,12 @@ class SubagentMatrix:
                 raise InputError("subagent rows must have one column per item plus nil")
             if any(v < ZERO for v in row):
                 raise InputError("subagent shares must be nonnegative")
-            if sum(row, ZERO) != ONE:
+            if share_sum(row) != ONE:
                 raise InputError("every subagent row must sum to exactly 1")
         for o in range(self.item_count):
-            if sum((row[o] for row in self.entries), ZERO) != ONE:
+            if share_sum(row[o] for row in self.entries) != ONE:
                 raise InputError(f"item column {o} must sum to exactly 1")
-        nil_total = sum((row[self.item_count] for row in self.entries), ZERO)
+        nil_total = share_sum(row[self.item_count] for row in self.entries)
         if nil_total != rows - self.item_count:
             raise InputError("nil column total must equal n * rounds - m")
 
@@ -80,7 +83,7 @@ def expand_subagents(per_round: Sequence[RandomAssignment]) -> SubagentMatrix:
     for j in range(n):
         for c, stage in enumerate(stages):
             row = stage.row(j)
-            consumed = sum(row, ZERO)
+            consumed = share_sum(row)
             if consumed > ONE:
                 raise InputError(f"agent {j} consumed more than one unit in round {c + 1}")
             if c < last and consumed != ONE:
@@ -109,38 +112,46 @@ class DecomposedLottery:
     def __post_init__(self) -> None:
         m = self.source.item_count
         rows = self.source.agent_count * self.source.round_count
-        total = ZERO
-        reconstructed = [[ZERO] * (m + 1) for _ in range(rows)]
+        entries = self.source.entries
+        # Weights are the coefficients in units of 1/scale, so the
+        # reconstruction below adds exact integers.
+        scale = math.lcm(*(coefficient.denominator for coefficient, _ in self.atoms))
+        total = 0
+        reconstructed = [[0] * (m + 1) for _ in range(rows)]
         for coefficient, matching in self.atoms:
             if coefficient <= ZERO:
                 raise InputError("decomposition coefficients must be positive")
-            total += coefficient
+            weight = coefficient.numerator * (scale // coefficient.denominator)
+            total += weight
             if len(matching) != rows:
                 raise InputError("an atom does not match every subagent")
             seen_items: set[int] = set()
             for row, target in enumerate(matching):
+                # the source's shares are validated nonnegative: zero means not positive
                 if target is None:
-                    if self.source.nil_share(row) <= ZERO:
+                    if not entries[row][m]:
                         raise InputError(
                             f"subagent row {row} matched to nil without nil share"
                         )
-                    reconstructed[row][m] += coefficient
+                    reconstructed[row][m] += weight
                 else:
-                    if self.source.entries[row][target] <= ZERO:
+                    if not entries[row][target]:
                         raise InputError(
                             f"atom uses pair (row {row}, item {target}) with zero share"
                         )
                     if target in seen_items:
                         raise InputError(f"item {target} matched twice within one atom")
                     seen_items.add(target)
-                    reconstructed[row][target] += coefficient
+                    reconstructed[row][target] += weight
             if len(seen_items) != m:
                 raise InputError("an atom leaves some item unmatched")
-        if total != ONE:
-            raise InputError(f"decomposition coefficients sum to {total}, expected 1")
-        for row in range(rows):
-            for col in range(m + 1):
-                if reconstructed[row][col] != self.source.entries[row][col]:
+        if total != scale:
+            raise InputError(
+                f"decomposition coefficients sum to {Fraction(total, scale)}, expected 1"
+            )
+        for rebuilt, entry_row in zip(reconstructed, entries):
+            for weight, entry in zip(rebuilt, entry_row):
+                if weight * entry.denominator != entry.numerator * scale:
                     raise InputError(
                         "coefficient-weighted matchings do not reconstruct the matrix"
                     )
@@ -215,22 +226,41 @@ def _square_doubly_stochastic(matrix: SubagentMatrix) -> list[list[Fraction]]:
     return square
 
 
-def _perfect_matching(square: list[list[Fraction]]) -> list[int]:
-    """Deterministic augmenting-path matching on the strictly positive entries."""
-    size = len(square)
+def _perfect_matching(support: list[list[int]]) -> list[int]:
+    """Deterministic augmenting-path matching on a support graph.
+
+    `support[row]` lists the row's positive columns in ascending order.  Roots
+    are matched in ascending row order, each by a depth-first search that tries
+    columns in ascending order and takes the first augmenting path; the search
+    runs on an explicit stack, so long paths need no recursion.
+    """
+    size = len(support)
     col_owner = [-1] * size
-
-    def try_row(row: int, visited: list[bool]) -> bool:
-        for col in range(size):
-            if square[row][col] > ZERO and not visited[col]:
-                visited[col] = True
-                if col_owner[col] < 0 or try_row(col_owner[col], visited):
-                    col_owner[col] = row
-                    return True
-        return False
-
-    for row in range(size):
-        if not try_row(row, [False] * size):
+    for root in range(size):
+        visited = [False] * size
+        rows = [root]
+        cols: list[int] = []
+        pending = [iter(support[root])]
+        while pending:
+            for col in pending[-1]:
+                if not visited[col]:
+                    visited[col] = True
+                    break
+            else:
+                pending.pop()
+                rows.pop()
+                if cols:
+                    cols.pop()
+                continue
+            cols.append(col)
+            owner = col_owner[col]
+            if owner < 0:
+                for row, matched in zip(rows, cols):
+                    col_owner[matched] = row
+                break
+            rows.append(owner)
+            pending.append(iter(support[owner]))
+        else:
             raise RuntimeError(
                 "no perfect matching on the positive entries; "
                 "the matrix is not doubly stochastic"
@@ -246,19 +276,26 @@ def birkhoff_decompose(matrix: SubagentMatrix) -> DecomposedLottery:
 
     Repeatedly extracts a perfect matching on the positive entries, subtracts
     it scaled by its minimum matched entry, and records the pair.  Terminates
-    with at most s*s - 2s + 2 atoms for s = n * ceil(m/n).
+    with at most s*s - 2s + 2 atoms for s = n * ceil(m/n).  The entries are
+    scaled to integers by the least common multiple of their denominators,
+    and each row keeps a list of its positive columns that loses a column
+    when its entry reaches zero.
     """
     square = _square_doubly_stochastic(matrix)
     size = len(square)
     m = matrix.item_count
+    scale, scaled = integer_rows(square)
+    support = [[col for col, v in enumerate(row) if v] for row in scaled]
     raw_atoms: list[tuple[Fraction, list[int]]] = []
-    remaining = ONE
-    while remaining > ZERO:
-        matching = _perfect_matching(square)
-        coefficient = min(square[row][matching[row]] for row in range(size))
-        for row in range(size):
-            square[row][matching[row]] -= coefficient
-        raw_atoms.append((coefficient, matching))
+    remaining = scale
+    while remaining > 0:
+        matching = _perfect_matching(support)
+        coefficient = min(scaled[row][matching[row]] for row in range(size))
+        for row, col in enumerate(matching):
+            scaled[row][col] -= coefficient
+            if not scaled[row][col]:
+                support[row].remove(col)
+        raw_atoms.append((Fraction(coefficient, scale), matching))
         remaining -= coefficient
     bound = size * size - 2 * size + 2 if size > 1 else 1
     if len(raw_atoms) > bound:

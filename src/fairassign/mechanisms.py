@@ -37,6 +37,7 @@ from .model import (
     RandomAssignment,
     RoundDecomposition,
     SizeLimitError,
+    share_sum,
 )
 
 DEFAULT_BRANCH_CAP = 10**6
@@ -67,9 +68,6 @@ class ModularRng:
         if bound < 1:
             raise InputError("bound must be at least 1")
         return self._word() % bound
-
-    def pick(self, items: Sequence) -> object:
-        return items[self.below(len(items))]
 
     def unit(self) -> Fraction:
         """Uniform rational in [0, 1) at 64-bit resolution."""
@@ -308,16 +306,20 @@ class GpbmOutcome:
     supply_trace: tuple[ConsumptionStep, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.per_round.total_random() != self.total:
+        stages = [stage.rows for stage in self.per_round.rounds]
+        summed = tuple(
+            tuple(share_sum(entries) for entries in zip(*agent_rows))
+            for agent_rows in zip(*stages)
+        )
+        if summed != self.total.rows:
             raise InputError("per-round matrices do not sum to the total")
-        for o in range(self.total.item_count):
-            if self.total.column_sum(o) != ONE:
+        for o, column in enumerate(zip(*self.total.rows)):
+            if share_sum(column) != ONE:
                 raise InputError(f"item column {o} does not sum to 1")
-        last = self.per_round.round_count - 1
-        for c, stage in enumerate(self.per_round.rounds):
-            for j, row in enumerate(stage.rows):
-                row_sum = sum(row, ZERO)
-                if c < last and row_sum != ONE:
+        for c, rows in enumerate(stages[:-1]):
+            for j, row in enumerate(rows):
+                row_sum = share_sum(row)
+                if row_sum != ONE:
                     raise InputError(
                         f"agent {j} consumed {row_sum} in non-final round {c + 1}, expected 1"
                     )
@@ -355,46 +357,52 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     consumption round r, each unexhausted item is eaten at an equal rate by
     the budget-positive agents whose global rank of it is exactly r.  Every
     agent ranks one item per position, so items within a consumption round
-    never compete for the same agent.
+    never compete for the same agent, and grouping the budget-positive agents
+    by their r-th item finds every eater in O(n).
     """
     n = instance.agent_count
     m = instance.item_count
-    ranks = instance.global_rank
+    prefs = instance.pref_order
     supply: list[Fraction] = [ONE] * m
+    stocked = m
+    total = [[ZERO] * m for _ in range(n)]
     stages: list[RandomAssignment] = []
     trace: list[ConsumptionStep] = []
     round_index = 0
-    while any(s > ZERO for s in supply):
+    while stocked:
         round_index += 1
         shares = [[ZERO] * m for _ in range(n)]
         budget: list[Fraction] = [ONE] * n
-        for r in range(1, m + 1):
-            if all(s == ZERO for s in supply) or all(b == ZERO for b in budget):
+        hungry = list(range(n))
+        for r in range(m):
+            if not hungry or not stocked:
                 break
-            for o in range(m):
-                if supply[o] == ZERO:
-                    continue
-                eaters = [j for j in range(n) if budget[j] > ZERO and ranks[j][o] == r]
-                if not eaters:
-                    continue
+            groups: dict[int, list[int]] = {}
+            for j in hungry:
+                o = prefs[j][r]
+                if supply[o]:
+                    groups.setdefault(o, []).append(j)
+            for o in sorted(groups):
+                eaters = groups[o]
                 amounts, supply[o] = _equal_rate_split([budget[j] for j in eaters], supply[o])
+                if not supply[o]:
+                    stocked -= 1
                 for j, amount in zip(eaters, amounts):
-                    shares[j][o] += amount
+                    shares[j][o] = amount
+                    total[j][o] += amount
                     budget[j] -= amount
                 if keep_trace:
                     trace.append(
-                        ConsumptionStep(round_index, r, o, tuple(eaters), tuple(amounts))
+                        ConsumptionStep(round_index, r + 1, o, tuple(eaters), tuple(amounts))
                     )
-        stages.append(RandomAssignment(tuple(tuple(row) for row in shares)))
+            hungry = [j for j in hungry if budget[j]]
+        stages.append(RandomAssignment(tuple(map(tuple, shares))))
     if round_index != instance.rounds_needed:
         raise AssertionError(
             f"eating ran {round_index} rounds, expected {instance.rounds_needed}"
         )
-    total = RandomAssignment.zero(n, m)
-    for stage in stages:
-        total = total.add(stage)
     return GpbmOutcome(
-        total,
+        RandomAssignment(tuple(map(tuple, total))),
         RoundDecomposition(tuple(stages)),
         tuple(trace) if keep_trace else None,
     )

@@ -10,6 +10,7 @@ and no routine in this module ever rounds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,25 @@ class InputError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """An exact computation would exceed its configured cap."""
+
+
+def share_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum that skips zero entries.
+
+    Most entries of a share matrix are zero, and adding a zero `Fraction`
+    costs as much as adding any other.
+    """
+    return sum(filter(None, values), ZERO)
+
+
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(L, rows * L) for L the least common multiple of the denominators.
+
+    Comparisons and sums of the scaled integers are exact and avoid the
+    `Fraction` overhead.
+    """
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -173,9 +193,6 @@ class Instance:
     def first_choices(self) -> tuple[int, ...]:
         """first_choices[j] is agent j's most preferred item index."""
         return tuple(order[0] for order in self.pref_order)
-
-    def order_of(self, agent: int) -> tuple[int, ...]:
-        return self.pref_order[agent]
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +363,6 @@ class DeterministicAssignment:
     def indicator(self, agent: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(v) for v in self.rows[agent])
 
-    def add(self, other: "DeterministicAssignment") -> "DeterministicAssignment":
-        if self.item_count != other.item_count or self.agent_count != other.agent_count:
-            raise InputError("cannot add assignments of different shapes")
-        return DeterministicAssignment(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
     def to_random(self) -> "RandomAssignment":
         return RandomAssignment(tuple(tuple(Fraction(v) for v in row) for row in self.rows))
 
@@ -366,7 +374,9 @@ class RandomAssignment:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
+        rows = tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in self.rows
+        )
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise InputError("random assignment needs at least one agent row")
@@ -375,12 +385,9 @@ class RandomAssignment:
             if len(row) != m:
                 raise InputError("random assignment rows have inconsistent lengths")
             for v in row:
-                if v < ZERO or v > ONE:
+                # a reduced Fraction's denominator is positive
+                if not 0 <= v.numerator <= v.denominator:
                     raise InputError(f"share {v} is outside [0, 1]")
-
-    @classmethod
-    def zero(cls, agent_count: int, item_count: int) -> "RandomAssignment":
-        return cls(tuple((ZERO,) * item_count for _ in range(agent_count)))
 
     @property
     def agent_count(self) -> int:
@@ -397,23 +404,11 @@ class RandomAssignment:
         return self.rows[agent][item]
 
     def column_sum(self, item: int) -> Fraction:
-        return sum((row[item] for row in self.rows), ZERO)
+        return share_sum(row[item] for row in self.rows)
 
     @cached_property
     def is_fully_allocating(self) -> bool:
         return all(self.column_sum(o) == ONE for o in range(self.item_count))
-
-    def add(self, other: "RandomAssignment") -> "RandomAssignment":
-        if self.item_count != other.item_count or self.agent_count != other.agent_count:
-            raise InputError("cannot add random assignments of different shapes")
-        return RandomAssignment(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def scaled(self, factor: Fraction) -> "RandomAssignment":
-        return RandomAssignment(tuple(tuple(v * factor for v in row) for row in self.rows))
 
 
 @dataclass(frozen=True)
@@ -509,19 +504,12 @@ class RoundDecomposition:
             if stage.agent_count != n or stage.item_count != m:
                 raise InputError("round matrices have inconsistent shapes")
             for row in stage.rows:
-                if sum(row) > 1:
+                if share_sum(row) > 1:
                     raise InputError("an agent exceeds one unit within a single round")
 
     @property
     def round_count(self) -> int:
         return len(self.rounds)
-
-    def total_random(self) -> RandomAssignment:
-        total = RandomAssignment.zero(self.rounds[0].agent_count, self.rounds[0].item_count)
-        for stage in self.rounds:
-            stage_random = stage.to_random() if isinstance(stage, DeterministicAssignment) else stage
-            total = total.add(stage_random)
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ or a failing lottery atom).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     DeterministicAssignment,
@@ -17,6 +19,7 @@ from .model import (
     Lottery,
     RandomAssignment,
     ZERO,
+    integer_rows,
     sd_dominates,
 )
 
@@ -195,27 +198,37 @@ def check_ef1(instance: Instance, assignment: DeterministicAssignment) -> Proper
     return PropertyReport("ef1", True)
 
 
+def _cumulative_gaps(
+    instance: Instance, matrix: RandomAssignment
+) -> Iterator[tuple[int, int, list[int]]]:
+    """For every ordered pair of distinct agents (j, k), in ascending order,
+    yield (j, k, gaps): gaps[t] is j's cumulative share minus k's over j's t+1
+    most preferred items, in units of 1/L for L the least common multiple of
+    the matrix's denominators, so every comparison is between exact integers.
+    """
+    if (matrix.agent_count, matrix.item_count) != (instance.agent_count, instance.item_count):
+        raise InputError("share matrix shape does not match the instance")
+    _, rows = integer_rows(matrix.rows)
+    for j, order in enumerate(instance.pref_order):
+        own = [rows[j][o] for o in order]
+        for k, row in enumerate(rows):
+            if k != j:
+                yield j, k, list(accumulate(map(sub, own, [row[o] for o in order])))
+
+
+def _envy_witness(instance: Instance, j: int, k: int) -> dict:
+    return {"envious": instance.agents[j].name, "envied": instance.agents[k].name}
+
+
 def check_sd_wef(instance: Instance, matrix: RandomAssignment) -> PropertyReport:
     """Weak ex-ante envy-freeness: no agent's row is sd-dominated by a
     different row under the agent's own order."""
     if not matrix.is_fully_allocating:
         raise InputError("ex-ante envy is checked on fully allocating matrices")
-    for j in range(instance.agent_count):
-        order = instance.pref_order[j]
-        own = matrix.row(j)
-        for k in range(instance.agent_count):
-            if j == k:
-                continue
-            other = matrix.row(k)
-            if other != own and sd_dominates(order, other, own):
-                return PropertyReport(
-                    "sdwef",
-                    False,
-                    {
-                        "envious": instance.agents[j].name,
-                        "envied": instance.agents[k].name,
-                    },
-                )
+    for j, k, gaps in _cumulative_gaps(instance, matrix):
+        # k's row sd-dominates j's (no positive gap) and differs from it
+        if max(gaps) <= 0 and min(gaps) < 0:
+            return PropertyReport("sdwef", False, _envy_witness(instance, j, k))
     return PropertyReport("sdwef", True)
 
 
@@ -224,19 +237,9 @@ def check_sd_ef(instance: Instance, matrix: RandomAssignment) -> PropertyReport:
     under the owner's order."""
     if not matrix.is_fully_allocating:
         raise InputError("ex-ante envy is checked on fully allocating matrices")
-    for j in range(instance.agent_count):
-        order = instance.pref_order[j]
-        own = matrix.row(j)
-        for k in range(instance.agent_count):
-            if j != k and not sd_dominates(order, own, matrix.row(k)):
-                return PropertyReport(
-                    "sdef",
-                    False,
-                    {
-                        "envious": instance.agents[j].name,
-                        "envied": instance.agents[k].name,
-                    },
-                )
+    for j, k, gaps in _cumulative_gaps(instance, matrix):
+        if min(gaps) < 0:
+            return PropertyReport("sdef", False, _envy_witness(instance, j, k))
     return PropertyReport("sdef", True)
 
 

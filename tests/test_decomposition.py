@@ -7,6 +7,7 @@ import fairassign as fa
 from fairassign.decomposition import (
     DecomposedLottery,
     Realization,
+    _perfect_matching,
     birkhoff_decompose,
     expand_subagents,
     gpbm_lottery,
@@ -89,6 +90,17 @@ def test_birkhoff_atom_bound_and_reconstruction(four_agent):
     assert decomposed.projected.expected() == fa.gpbm(four_agent).total
 
 
+def test_perfect_matching_long_augmenting_path():
+    # row i sees columns i and i+1, the last row only column 0: matching the
+    # last row shifts every earlier row by one along a path of size - 1 rows
+    size = 3000
+    support = [[i, i + 1] for i in range(size - 1)] + [[0]]
+    matching = _perfect_matching(support)
+    assert sorted(matching) == list(range(size))
+    assert all(col in support[row] for row, col in enumerate(matching))
+    assert matching[-1] == 0
+
+
 def test_decomposition_validation_rejects_tampering(two_agent):
     decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
     coeff, matching = decomposed.atoms[0]
@@ -132,10 +144,9 @@ def test_sample_realization_structure(two_agent):
     decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
     draw = sample_realization(decomposed, 4)
     assert isinstance(draw, Realization)
-    total = fa.DeterministicAssignment.zero(2, 4)
-    for stage in draw.round_matchings.rounds:
-        total = total.add(stage)
-    assert total == draw.assignment
+    stages = [stage.rows for stage in draw.round_matchings.rounds]
+    total = tuple(tuple(map(sum, zip(*agent_rows))) for agent_rows in zip(*stages))
+    assert total == draw.assignment.rows
     assert draw.round_item_sets == decomposed.atom_round_item_sets(draw.atom_index)
 
 

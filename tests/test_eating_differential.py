@@ -1,0 +1,96 @@
+"""The eating pipeline's fast routines against the plain scans in
+`eating_reference`, on random impartial-culture, identical and near-identical
+profiles: equal gpbm matrices and traces, equal BvN atoms in the same order,
+and equal sd-envy verdicts and first witnesses."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairassign as fa
+from eating_reference import birkhoff_atoms, eat, sd_envy_witnesses
+from fairassign.decomposition import birkhoff_decompose, expand_subagents
+from fairassign.oracle import instance_from_orders
+
+
+@st.composite
+def profiles(draw, max_agents=8, max_items=24):
+    n = draw(st.integers(1, max_agents))
+    m = draw(st.integers(1, max_items))
+    family = draw(st.sampled_from(["ic", "identical", "near"]))
+    if family == "ic":
+        orders = [list(draw(st.permutations(range(m)))) for _ in range(n)]
+    else:
+        common = draw(st.permutations(range(m)))
+        orders = [list(common) for _ in range(n)]
+    if family == "near" and m > 1:
+        for order in orders:
+            for i in draw(st.lists(st.integers(0, m - 2), max_size=3)):
+                order[i], order[i + 1] = order[i + 1], order[i]
+    return instance_from_orders(orders, m)
+
+
+@st.composite
+def fully_allocating(draw, instance):
+    """A random share matrix whose every item column sums to 1."""
+    n = instance.agent_count
+    columns = []
+    for _ in range(instance.item_count):
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if not any(weights):
+            weights[draw(st.integers(0, n - 1))] = 1
+        columns.append([Fraction(w, sum(weights)) for w in weights])
+    return fa.RandomAssignment(tuple(zip(*columns)))
+
+
+def _witness(report, instance):
+    if report.verdict:
+        return None
+    names = [a.name for a in instance.agents]
+    return names.index(report.witness["envious"]), names.index(report.witness["envied"])
+
+
+def _assert_same_envy_reports(instance, matrix):
+    weak, strong = sd_envy_witnesses(instance, matrix.rows)
+    assert _witness(fa.check_sd_wef(instance, matrix), instance) == weak
+    assert _witness(fa.check_sd_ef(instance, matrix), instance) == strong
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiles())
+def test_gpbm_matches_reference_scan(instance):
+    outcome = fa.gpbm(instance)
+    total, rounds, trace = eat(instance)
+    assert outcome.total.rows == total
+    assert tuple(stage.rows for stage in outcome.per_round.rounds) == rounds
+    assert (
+        tuple(
+            (s.round_index, s.consumption_round, s.item, s.consumers, s.amounts)
+            for s in outcome.supply_trace
+        )
+        == trace
+    )
+    assert fa.gpbm(instance, keep_trace=False).per_round == outcome.per_round
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles())
+def test_birkhoff_atoms_match_reference_matcher(instance):
+    source = expand_subagents(fa.gpbm(instance, keep_trace=False).per_round)
+    decomposed = birkhoff_decompose(source)
+    assert decomposed.atoms == birkhoff_atoms(source.entries, source.item_count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sd_envy_reports_match_pairwise_sd_dominates(data):
+    instance = data.draw(profiles())
+    _assert_same_envy_reports(instance, fa.gpbm(instance, keep_trace=False).total)
+    _assert_same_envy_reports(instance, data.draw(fully_allocating(instance)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiles(max_agents=4, max_items=6))
+def test_sd_envy_reports_match_on_eager_expected(instance):
+    _assert_same_envy_reports(instance, fa.gebm_expected(instance))

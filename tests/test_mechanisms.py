@@ -5,7 +5,7 @@ import pytest
 
 import fairassign as fa
 from fairassign.mechanisms import ModularRng, _equal_rate_split
-from fairassign.model import InputError, SizeLimitError
+from fairassign.model import InputError, RoundDecomposition, SizeLimitError
 
 from branch_oracle import enumerate_distribution, expected_shares, lottery_as_bundles
 
@@ -238,6 +238,26 @@ def test_eating_trace(two_agent):
     outcome = fa.gpbm(two_agent)
     for (j, o), amount in total.items():
         assert outcome.total.entry(j, o) == amount
+
+
+def test_eating_outcome_invariants(two_agent):
+    outcome = fa.gpbm(two_agent)
+    swapped = fa.RandomAssignment((outcome.total.rows[1], outcome.total.rows[0]))
+    with pytest.raises(InputError, match="per-round matrices do not sum to the total"):
+        fa.GpbmOutcome(swapped, outcome.per_round)
+
+    def outcome_of(*rows_per_round):
+        stages = tuple(fa.RandomAssignment(rows) for rows in rows_per_round)
+        total = tuple(
+            tuple(map(sum, zip(*agent_rows))) for agent_rows in zip(*rows_per_round)
+        )
+        return fa.GpbmOutcome(fa.RandomAssignment(total), RoundDecomposition(stages))
+
+    h, q = F(1, 2), F(1, 4)
+    with pytest.raises(InputError, match="item column 0 does not sum to 1"):
+        outcome_of(((h, h, 0, 0), (q, 0, h, q)), ((0, h, 0, h), (0, 0, h, q)))
+    with pytest.raises(InputError, match="agent 1 consumed 3/4 in non-final round 1"):
+        outcome_of(((h, h, 0), (h, 0, q)), ((0, h, q), (0, 0, h)))
 
 
 def test_eating_per_round_efficiency(two_agent, four_agent, conflict):

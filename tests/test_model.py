@@ -187,9 +187,14 @@ def test_assignment_views(two_agent):
 def test_random_assignment_bounds():
     with pytest.raises(InputError):
         fa.RandomAssignment(((F(3, 2), F(0)), (F(0), F(1))))
+    with pytest.raises(InputError):
+        fa.RandomAssignment(((F(-1, 2), F(0)), (F(3, 2), F(1))))
     matrix = fa.RandomAssignment(((F(1, 2), F(1)), (F(1, 2), F(0))))
     assert matrix.is_fully_allocating
     assert matrix.column_sum(0) == F(1)
+    converted = fa.RandomAssignment((("1/2", 1), (0.5, 0)))
+    assert converted == matrix
+    assert all(type(v) is F for row in converted.rows for v in row)
 
 
 def test_lottery_normalization(two_agent):

@@ -171,6 +171,17 @@ def test_sd_ef_uniform_identical(identical):
     assert fa.check_sd_wef(identical, uniform).verdict
 
 
+def test_sd_envy_checks_reject_mismatched_shapes(two_agent):
+    h = F(1, 2)
+    wide = fa.RandomAssignment(((1, h, 1, 0, 1), (0, h, 0, 1, 0)))
+    tall = fa.RandomAssignment(((1, 0, 0, 0), (0, h, h, h), (0, h, h, h)))
+    for matrix in (wide, tall):
+        assert matrix.is_fully_allocating
+        for check in (fa.check_sd_wef, fa.check_sd_ef):
+            with pytest.raises(InputError, match="shape"):
+                check(two_agent, matrix)
+
+
 def test_sd_ef_implies_sd_wef(two_agent, four_agent, conflict):
     for inst in (two_agent, four_agent, conflict):
         matrix = fa.gpbm(inst).total
