@@ -132,7 +132,7 @@ def _run_gebm(instance: Instance, args: argparse.Namespace) -> dict:
             ],
         }
     if args.mode == "expected":
-        matrix = mechanisms.gebm_expected(instance, args.max_branch)
+        matrix = mechanisms.gebm_expected(instance)
         return {
             "kind": "random",
             "mechanism": "gebm",
@@ -342,9 +342,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise InputError(f"audit {args.what} needs --instance")
     if args.what == "sp":
         instance = _load_instance(args.instance)
-        witness = oracle.sd_wsp_audit(
-            args.mechanism, instance, max_items=args.max_items, max_branches=args.max_branch
-        )
+        witness = oracle.sd_wsp_audit(args.mechanism, instance, max_items=args.max_items)
         if witness is None:
             print("no witness")
             _write_text(args.out, json.dumps({"witness": None}, indent=2) + "\n")
@@ -356,7 +354,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         _write_text(
             args.out, json.dumps({"witness": witness.to_payload()}, indent=2) + "\n"
         )
-        if not witness.replay(args.max_branch):
+        if not witness.replay():
             print("reproducibility self-check FAILED", file=sys.stderr)
             return 1
         return 0
@@ -382,9 +380,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         _write_text(args.out, json.dumps(results, indent=2) + "\n")
         return 0
     if args.what == "remark1":
-        found = oracle.remark1_search(
-            args.max, args.max, max_profiles=args.max_enum, max_branches=args.max_branch
-        )
+        found = oracle.remark1_search(args.max, args.max, max_profiles=args.max_enum)
         if found is None:
             print("no witness")
             _write_text(args.out, json.dumps({"witness": None}, indent=2) + "\n")
@@ -553,7 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--quota", type=int, default=None)
     p_run.add_argument("--order", default=None, help="rsdq priority order (agent names)")
-    p_run.add_argument("--max-branch", type=int, default=mechanisms.DEFAULT_BRANCH_CAP)
+    p_run.add_argument(
+        "--max-branch",
+        type=int,
+        default=mechanisms.DEFAULT_BRANCH_CAP,
+        help="tie-break branch cap of gebm's lottery mode",
+    )
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 
@@ -577,7 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--perm", default=None, help='item permutation, e.g. "c:d,d:c"')
     p_audit.add_argument("--max", type=int, default=3, help="profile search bound (n = m)")
     p_audit.add_argument("--max-items", type=int, default=6, help="sp audit item limit")
-    p_audit.add_argument("--max-branch", type=int, default=mechanisms.DEFAULT_BRANCH_CAP)
+    p_audit.add_argument(
+        "--max-branch",
+        type=int,
+        default=mechanisms.DEFAULT_BRANCH_CAP,
+        help="tie-break branch cap of the gebm neutrality audit",
+    )
     p_audit.add_argument("--max-enum", type=int, default=oracle.DEFAULT_ENUM_CAP)
     p_audit.add_argument("--out", default=None)
     p_audit.set_defaults(func=cmd_audit)

@@ -291,6 +291,8 @@ def birkhoff_decompose(matrix: SubagentMatrix) -> DecomposedLottery:
     while remaining > 0:
         matching = _perfect_matching(support)
         coefficient = min(scaled[row][matching[row]] for row in range(size))
+        if coefficient <= 0:
+            raise AssertionError("the matching passes through a zero entry")
         for row, col in enumerate(matching):
             scaled[row][col] -= coefficient
             if not scaled[row][col]:

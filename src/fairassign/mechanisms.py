@@ -200,88 +200,141 @@ def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
     )
 
 
-def _engine_branches(
-    instance: Instance, items: frozenset[int]
-) -> Iterator[tuple[Fraction, tuple[tuple[int, int], ...]]]:
-    """All tie-break branches of one engine run, as (probability, matching pairs)."""
-
-    def explode(
-        active: frozenset[int], remaining: frozenset[int]
-    ) -> Iterator[tuple[Fraction, tuple[tuple[int, int], ...]]]:
-        if not active or not remaining:
-            yield ONE, ()
-            return
-        applicants: dict[int, list[int]] = {}
-        for j in sorted(active):
-            applicants.setdefault(_top_of(instance, j, remaining), []).append(j)
-        contested = sorted(applicants)
-        weight = Fraction(1, math.prod(len(applicants[o]) for o in contested))
-        next_remaining = remaining.difference(contested)
-        for winners in itertools.product(*(applicants[o] for o in contested)):
-            pairs = tuple(zip(winners, contested))
-            next_active = active.difference(winners)
-            for sub_prob, sub_pairs in explode(next_active, next_remaining):
-                yield weight * sub_prob, pairs + sub_pairs
-
-    yield from explode(frozenset(range(instance.agent_count)), items)
+#: An engine state (round index, active agents, remaining items); the two sets
+#: are bitmasks over agent and item indices.
+EngineState = tuple[int, int, int]
+#: A pass: the applied-for items with their applicants, in ascending item order.
+Contested = list[tuple[int, list[int]]]
+#: A winners tuple (one winner per contested item) and the state it leads to.
+Move = tuple[tuple[int, ...], EngineState]
 
 
-def gebm_branches(
-    instance: Instance, max_branches: int = DEFAULT_BRANCH_CAP
-) -> list[tuple[Fraction, tuple[tuple[tuple[int, int], ...], ...]]]:
-    """Exhaustive branch enumeration: (probability, per-round matching pairs).
+def _engine_states(instance: Instance) -> Iterator[tuple[EngineState, Contested, list[Move]]]:
+    """Every reachable state of the multi-round engine, with its moves.
 
-    Branch probabilities are products of 1/|applicant set| factors.  Raises
-    `SizeLimitError` once more than `max_branches` leaves are produced.
+    What the engine does next depends only on its state, so the exact modes
+    push their quantity forward through these states instead of walking every
+    tie-break path.  Yields (state, contested, moves): `contested` lists each
+    applied-for item with its applicants, in ascending item order, and `moves`
+    pairs every winners tuple (one winner per contested item, in
+    `itertools.product` order) with the state it leads to.  Every move removes
+    at least one item, so visiting states by decreasing item count yields each
+    state after all of its predecessors.  A state with no remaining items is
+    final and has no moves.  When a pass leaves no agent active, the next
+    round starts with every agent active again.
     """
+    n = instance.agent_count
+    m = instance.item_count
+    everyone = (1 << n) - 1
+    prefs = instance.pref_order
+    pending: list[dict[EngineState, None]] = [{} for _ in range(m + 1)]
+    pending[m][(0, everyone, (1 << m) - 1)] = None
+    for left in range(m, -1, -1):
+        for state in pending[left]:
+            round_index, active, remaining = state
+            if not remaining:
+                yield state, [], []
+                continue
+            applicants: dict[int, list[int]] = {}
+            for j in range(n):
+                if active >> j & 1:
+                    top = next(o for o in prefs[j] if remaining >> o & 1)
+                    applicants.setdefault(top, []).append(j)
+            contested = sorted(applicants.items())
+            next_remaining = remaining
+            for o in applicants:
+                next_remaining ^= 1 << o
+            successors = pending[left - len(contested)]
+            moves = []
+            for winners in itertools.product(*(group for _, group in contested)):
+                next_active = active
+                for j in winners:
+                    next_active ^= 1 << j
+                if next_active or not next_remaining:
+                    successor = (round_index, next_active, next_remaining)
+                else:
+                    successor = (round_index + 1, everyone, next_remaining)
+                successors[successor] = None
+                moves.append((winners, successor))
+            yield state, contested, moves
 
-    leaves: list[tuple[Fraction, tuple[tuple[tuple[int, int], ...], ...]]] = []
 
-    def rounds(
-        round_index: int, remaining: frozenset[int]
-    ) -> Iterator[tuple[Fraction, tuple[tuple[tuple[int, int], ...], ...]]]:
-        if round_index == instance.rounds_needed:
-            yield ONE, ()
-            return
-        for prob, pairs in _engine_branches(instance, remaining):
-            matched = frozenset(o for _, o in pairs)
-            for sub_prob, sub_rounds in rounds(round_index + 1, remaining - matched):
-                yield prob * sub_prob, (pairs,) + sub_rounds
-
-    for leaf in rounds(0, frozenset(range(instance.item_count))):
-        leaves.append(leaf)
-        if len(leaves) > max_branches:
-            raise SizeLimitError(
-                f"instance too large for exact mode (more than {max_branches} "
-                "tie-break branches); use sampled mode instead"
-            )
+def _branch_count(instance: Instance) -> int:
+    """The number of tie-break paths of one run: every move passes on the
+    number of paths that reach its state."""
+    paths: dict[EngineState, int] = {}
+    leaves = 0
+    for state, _, moves in _engine_states(instance):
+        count = paths.pop(state, 1)  # only the start state has no incoming move
+        if not moves:
+            leaves += count
+        for _, successor in moves:
+            paths[successor] = paths.get(successor, 0) + count
     return leaves
 
 
 def gebm_lottery(instance: Instance, max_branches: int = DEFAULT_BRANCH_CAP) -> Lottery:
-    """The exact output distribution, with identical leaf assignments merged."""
-    atoms = []
-    for prob, round_pairs in gebm_branches(instance, max_branches):
-        bundles: dict[int, list[int]] = {}
-        for pairs in round_pairs:
-            for j, o in pairs:
-                bundles.setdefault(j, []).append(o)
-        atoms.append(
-            (
-                prob,
-                DeterministicAssignment.from_bundles(
-                    instance.agent_count, instance.item_count, bundles
-                ),
-            )
+    """The exact output distribution.
+
+    Raises `SizeLimitError`, before building anything, when the run has more
+    than `max_branches` tie-break paths.  Partial assignments, as per-agent
+    item bitmasks, are carried forward through the engine states.  Two paths
+    part where they give some item to different agents, so every path ends in
+    its own assignment and the lottery has one atom per path.
+    """
+    branches = _branch_count(instance)
+    if branches > max_branches:
+        raise SizeLimitError(
+            f"instance too large for exact mode: {branches} tie-break branches "
+            f"exceed the cap of {max_branches}; use sampled mode instead"
         )
+    n = instance.agent_count
+    m = instance.item_count
+    partial: dict[EngineState, list[tuple[tuple[int, ...], Fraction]]] = {}
+    atoms: list[tuple[Fraction, DeterministicAssignment]] = []
+    for state, contested, moves in _engine_states(instance):
+        held = partial.pop(state, None) or [((0,) * n, ONE)]  # at the start state
+        if not moves:
+            for bundles, prob in held:
+                rows = tuple(tuple(mask >> o & 1 for o in range(m)) for mask in bundles)
+                atoms.append((prob, DeterministicAssignment._from_validated_rows(rows)))
+            continue
+        ways = math.prod(len(group) for _, group in contested)
+        scaled = [(bundles, prob / ways) for bundles, prob in held]
+        items = [o for o, _ in contested]
+        for winners, successor in moves:
+            target = partial.setdefault(successor, [])
+            for bundles, prob in scaled:
+                grown = list(bundles)
+                for j, o in zip(winners, items):
+                    grown[j] |= 1 << o
+                target.append((tuple(grown), prob))
     return Lottery.of(atoms)
 
 
-def gebm_expected(
-    instance: Instance, max_branches: int = DEFAULT_BRANCH_CAP
-) -> RandomAssignment:
-    """Exact expected matrix: the probability-weighted mean of the lottery."""
-    return gebm_lottery(instance, max_branches).expected()
+def gebm_expected(instance: Instance) -> RandomAssignment:
+    """Exact expected matrix, without building the lottery.
+
+    Probability mass flows forward through the engine states; at each state
+    every applicant for an item gains the state's mass divided by the number
+    of applicants, and each winners tuple passes an equal part of the mass on.
+    """
+    n = instance.agent_count
+    m = instance.item_count
+    shares = [[ZERO] * m for _ in range(n)]
+    mass: dict[EngineState, Fraction] = {}
+    for state, contested, moves in _engine_states(instance):
+        prob = mass.pop(state, ONE)  # only the start state has no incoming move
+        if not moves:
+            continue
+        for o, group in contested:
+            share = prob / len(group)
+            for j in group:
+                shares[j][o] += share
+        passed = prob / math.prod(len(group) for _, group in contested)
+        for _, successor in moves:
+            mass[successor] = mass.get(successor, ZERO) + passed
+    return RandomAssignment(tuple(map(tuple, shares)))
 
 
 # ---------------------------------------------------------------------------

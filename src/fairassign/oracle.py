@@ -146,10 +146,10 @@ class SpWitness:
     def misreport_instance(self) -> Instance:
         return self.instance.with_agent_order(self.agent, self.misreport)
 
-    def replay(self, max_branches: int = DEFAULT_BRANCH_CAP) -> bool:
+    def replay(self) -> bool:
         """Recompute both mechanism runs and confirm both rows bit-exactly."""
-        truthful = _expected_matrix(self.mechanism, self.instance, max_branches)
-        manipulated = _expected_matrix(self.mechanism, self.misreport_instance(), max_branches)
+        truthful = _expected_matrix(self.mechanism, self.instance)
+        manipulated = _expected_matrix(self.mechanism, self.misreport_instance())
         return (
             truthful.row(self.agent) == self.truthful_row
             and manipulated.row(self.agent) == self.manipulated_row
@@ -186,11 +186,9 @@ class SpWitness:
         }
 
 
-def _expected_matrix(
-    mechanism: str, instance: Instance, max_branches: int
-) -> RandomAssignment:
+def _expected_matrix(mechanism: str, instance: Instance) -> RandomAssignment:
     if mechanism == "gebm":
-        return gebm_expected(instance, max_branches)
+        return gebm_expected(instance)
     if mechanism == "gpbm":
         return gpbm(instance, keep_trace=False).total
     raise InputError(f"unknown exact mechanism {mechanism!r}")
@@ -200,7 +198,6 @@ def sd_wsp_audit(
     mechanism: str,
     instance: Instance,
     max_items: int = 6,
-    max_branches: int = DEFAULT_BRANCH_CAP,
 ) -> SpWitness | None:
     """Search every unilateral misreport for a dominance-improving deviation.
 
@@ -212,16 +209,14 @@ def sd_wsp_audit(
         raise SizeLimitError(
             f"misreport audit over {m}! orders per agent exceeds max_items={max_items}"
         )
-    truthful = _expected_matrix(mechanism, instance, max_branches)
+    truthful = _expected_matrix(mechanism, instance)
     for agent in range(instance.agent_count):
         true_order = instance.pref_order[agent]
         truthful_row = truthful.row(agent)
         for reported in itertools.permutations(range(m)):
             if reported == true_order:
                 continue
-            manipulated = _expected_matrix(
-                mechanism, instance.with_agent_order(agent, reported), max_branches
-            )
+            manipulated = _expected_matrix(mechanism, instance.with_agent_order(agent, reported))
             row = manipulated.row(agent)
             if row != truthful_row and sd_dominates(true_order, row, truthful_row):
                 return SpWitness(
@@ -274,7 +269,6 @@ def remark1_search(
     bound_m: int,
     properties: Sequence[str] = ("sde", "sdef"),
     max_profiles: int = DEFAULT_ENUM_CAP,
-    max_branches: int = DEFAULT_BRANCH_CAP,
 ) -> tuple[Instance, str] | None:
     """First preference profile whose exact expected output fails one of the
     requested ex-ante properties ("sde", "sdef").
@@ -293,7 +287,7 @@ def remark1_search(
     orders = list(itertools.permutations(range(bound_m)))
     for profile in itertools.product(orders, repeat=bound_n):
         instance = instance_from_orders(profile, bound_m)
-        expected = gebm_expected(instance, max_branches)
+        expected = gebm_expected(instance)
         if "sde" in properties and not check_sde_acyclic(instance, expected).verdict:
             return instance, "sde"
         if "sdef" in properties and not check_sd_ef(instance, expected).verdict:

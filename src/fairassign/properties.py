@@ -20,7 +20,6 @@ from .model import (
     RandomAssignment,
     ZERO,
     integer_rows,
-    sd_dominates,
 )
 
 
@@ -166,40 +165,19 @@ def check_ef1(instance: Instance, assignment: DeterministicAssignment) -> Proper
     """Envy-freeness up to one item, compared through stochastic dominance.
 
     An empty envied bundle passes vacuously; the removed item may be any item
-    of the envied bundle.
+    of the envied bundle.  Removing an envied item raises the envious agent's
+    cumulative gaps by one from that item's place in its order on, and the
+    first negative gap always falls on an envied item, so a pair passes
+    exactly when no gap is below -1.
     """
-    for j in range(instance.agent_count):
-        order = instance.pref_order[j]
-        own = assignment.indicator(j)
-        for k in range(instance.agent_count):
-            if j == k:
-                continue
-            envied = assignment.bundles[k]
-            if not envied:
-                continue
-            ok = False
-            for removed in sorted(envied):
-                reduced = tuple(
-                    v if o != removed else ZERO
-                    for o, v in enumerate(assignment.indicator(k))
-                )
-                if sd_dominates(order, own, reduced):
-                    ok = True
-                    break
-            if not ok:
-                return PropertyReport(
-                    "ef1",
-                    False,
-                    {
-                        "envious": instance.agents[j].name,
-                        "envied": instance.agents[k].name,
-                    },
-                )
+    for j, k, gaps in _cumulative_gaps(instance, assignment):
+        if min(gaps) < -1:
+            return PropertyReport("ef1", False, _envy_witness(instance, j, k))
     return PropertyReport("ef1", True)
 
 
 def _cumulative_gaps(
-    instance: Instance, matrix: RandomAssignment
+    instance: Instance, matrix: RandomAssignment | DeterministicAssignment
 ) -> Iterator[tuple[int, int, list[int]]]:
     """For every ordered pair of distinct agents (j, k), in ascending order,
     yield (j, k, gaps): gaps[t] is j's cumulative share minus k's over j's t+1

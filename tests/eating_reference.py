@@ -4,9 +4,10 @@ Each routine here is the plain scan the package's fast version must agree
 with exactly: the simultaneous-eating mechanism visits every (item, agent)
 pair in every consumption round; the Birkhoff-von Neumann matcher is the
 recursive augmenting-path search over the `Fraction` entries, restarted for
-every atom; the envy checks compare every agent pair through the public
-`sd_dominates`.  Tests compare the package's outputs against these for
-equality, atom order included.
+every atom; the envy checks, EF1 included, compare every agent pair (and,
+for EF1, every removed item) through the public `sd_dominates`.  Tests
+compare the package's outputs against these for equality, atom order
+included.
 """
 
 from fractions import Fraction
@@ -143,3 +144,21 @@ def sd_envy_witnesses(instance, rows):
             if strong is None and not sd_dominates(order, rows[j], rows[k]):
                 strong = (j, k)
     return weak, strong
+
+
+def ef1_witness(instance, assignment):
+    """First (envious, envied) agent-index pair violating envy-freeness up to
+    one item, or None: every removal of one envied item is tried in turn."""
+    for j in range(instance.agent_count):
+        order = instance.pref_order[j]
+        own = assignment.indicator(j)
+        for k in range(instance.agent_count):
+            if j == k or not assignment.bundles[k]:
+                continue
+            envied = assignment.indicator(k)
+            if not any(
+                sd_dominates(order, own, envied[:o] + (ZERO,) + envied[o + 1 :])
+                for o in sorted(assignment.bundles[k])
+            ):
+                return j, k
+    return None

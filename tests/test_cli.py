@@ -116,6 +116,24 @@ def test_run_branch_cap(tmp_path, instance_file):
     ) == 2
 
 
+def test_run_expected_has_no_branch_cap(tmp_path, capsys):
+    # identical 8x16: (8!)^2 tie-break paths, over the default lottery cap
+    inst = tmp_path / "identical.json"
+    inst.write_text(fa.serialize_instance(fa.oracle.instance_from_orders([range(16)] * 8, 16)))
+    out = tmp_path / "expected.json"
+    assert run_cli(
+        "run", "--instance", str(inst), "--mechanism", "gebm",
+        "--mode", "expected", "--out", str(out),
+    ) == 0
+    doc = json.loads(out.read_text())
+    assert {share for row in doc["matrix"] for share in row} == {"1/8"}
+    assert run_cli(
+        "run", "--instance", str(inst), "--mechanism", "gebm",
+        "--mode", "lottery", "--out", str(tmp_path / "lottery.json"),
+    ) == 2
+    assert "1625702400 tie-break branches" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # check
 

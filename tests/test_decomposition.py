@@ -101,6 +101,21 @@ def test_perfect_matching_long_augmenting_path():
     assert matching[-1] == 0
 
 
+def test_birkhoff_rejects_matching_through_zero_entry(monkeypatch, two_agent):
+    # a matcher that keeps returning its first matching passes through the
+    # entries the first atom zeroed; the loop must stop instead of spinning
+    first = []
+
+    def stale_matching(support):
+        if not first:
+            first.append(_perfect_matching(support))
+        return list(first[0])
+
+    monkeypatch.setattr("fairassign.decomposition._perfect_matching", stale_matching)
+    with pytest.raises(AssertionError, match="zero entry"):
+        birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
+
+
 def test_decomposition_validation_rejects_tampering(two_agent):
     decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
     coeff, matching = decomposed.atoms[0]

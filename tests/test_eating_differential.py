@@ -1,7 +1,7 @@
 """The eating pipeline's fast routines against the plain scans in
 `eating_reference`, on random impartial-culture, identical and near-identical
 profiles: equal gpbm matrices and traces, equal BvN atoms in the same order,
-and equal sd-envy verdicts and first witnesses."""
+and equal sd-envy and EF1 verdicts and first witnesses."""
 
 from fractions import Fraction
 
@@ -9,26 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairassign as fa
-from eating_reference import birkhoff_atoms, eat, sd_envy_witnesses
+from eating_reference import birkhoff_atoms, eat, ef1_witness, sd_envy_witnesses
 from fairassign.decomposition import birkhoff_decompose, expand_subagents
-from fairassign.oracle import instance_from_orders
-
-
-@st.composite
-def profiles(draw, max_agents=8, max_items=24):
-    n = draw(st.integers(1, max_agents))
-    m = draw(st.integers(1, max_items))
-    family = draw(st.sampled_from(["ic", "identical", "near"]))
-    if family == "ic":
-        orders = [list(draw(st.permutations(range(m)))) for _ in range(n)]
-    else:
-        common = draw(st.permutations(range(m)))
-        orders = [list(common) for _ in range(n)]
-    if family == "near" and m > 1:
-        for order in orders:
-            for i in draw(st.lists(st.integers(0, m - 2), max_size=3)):
-                order[i], order[i + 1] = order[i + 1], order[i]
-    return instance_from_orders(orders, m)
+from profile_strategies import profiles
 
 
 @st.composite
@@ -42,6 +25,26 @@ def fully_allocating(draw, instance):
             weights[draw(st.integers(0, n - 1))] = 1
         columns.append([Fraction(w, sum(weights)) for w in weights])
     return fa.RandomAssignment(tuple(zip(*columns)))
+
+
+@st.composite
+def deterministic(draw, instance):
+    """A random assignment that leaves each item unallocated or gives it to
+    one agent."""
+    owners = draw(
+        st.lists(
+            st.none() | st.integers(0, instance.agent_count - 1),
+            min_size=instance.item_count,
+            max_size=instance.item_count,
+        )
+    )
+    bundles = {}
+    for o, j in enumerate(owners):
+        if j is not None:
+            bundles.setdefault(j, []).append(o)
+    return fa.DeterministicAssignment.from_bundles(
+        instance.agent_count, instance.item_count, bundles
+    )
 
 
 def _witness(report, instance):
@@ -94,3 +97,12 @@ def test_sd_envy_reports_match_pairwise_sd_dominates(data):
 @given(profiles(max_agents=4, max_items=6))
 def test_sd_envy_reports_match_on_eager_expected(instance):
     _assert_same_envy_reports(instance, fa.gebm_expected(instance))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ef1_matches_removal_by_removal_sd_dominates(data):
+    instance = data.draw(profiles(max_agents=6, max_items=12))
+    assignment = data.draw(deterministic(instance))
+    report = fa.check_ef1(instance, assignment)
+    assert _witness(report, instance) == ef1_witness(instance, assignment)

@@ -1,10 +1,12 @@
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import fairassign as fa
-from fairassign.mechanisms import ModularRng, _equal_rate_split
+from fairassign.mechanisms import DEFAULT_BRANCH_CAP, ModularRng, _equal_rate_split
+from fairassign import oracle
 from fairassign.model import InputError, RoundDecomposition, SizeLimitError
 
 from branch_oracle import enumerate_distribution, expected_shares, lottery_as_bundles
@@ -116,6 +118,35 @@ def test_lottery_matches_independent_enumerator_random():
             orders.append(tuple(order))
         inst = instance_from_orders(orders, m)
         assert lottery_as_bundles(inst, fa.gebm_lottery(inst)) == enumerate_distribution(inst)
+
+
+def _identical(agent_count, item_count):
+    return oracle.instance_from_orders([range(item_count)] * agent_count, item_count)
+
+
+def test_lottery_branch_cap_boundary():
+    # identical 4x8: 4! tie-break paths in each of the two rounds
+    inst = _identical(4, 8)
+    assert fa.gebm_lottery(inst, max_branches=576).atom_count == 576
+    with pytest.raises(SizeLimitError, match="576 tie-break branches exceed the cap of 575"):
+        fa.gebm_lottery(inst, max_branches=575)
+
+
+def test_lottery_cap_checked_before_enumeration():
+    # identical 8x16 has (8!)^2 paths; counting them over the engine states
+    # takes milliseconds, where enumerating the first 10^6 took half a minute
+    inst = _identical(8, 16)
+    started = time.perf_counter()
+    with pytest.raises(SizeLimitError) as caught:
+        fa.gebm_lottery(inst)
+    assert time.perf_counter() - started < 10
+    assert "1625702400" in str(caught.value)
+    assert str(DEFAULT_BRANCH_CAP) in str(caught.value)
+
+
+def test_expected_has_no_branch_cap():
+    inst = _identical(8, 16)
+    assert all(v == F(1, 8) for row in fa.gebm_expected(inst).rows for v in row)
 
 
 def test_expected_matches_independent_enumerator(two_agent):
