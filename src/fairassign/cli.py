@@ -47,8 +47,6 @@ CHECKABLE_PROPERTIES = (
     "expost-ef1",
 )
 
-EXPERIMENT_PROPERTIES = ("fcm", "pe", "ef1")
-
 EXPERIMENT_CSV_COLUMNS = (
     "mechanism",
     "n",
@@ -253,12 +251,8 @@ def _check_one(
     if prop in ("pe", "fcm", "ef1", "fhr", "feri"):
         need("assignment")
         assignment = assignment_from_payload(instance, doc["assignment"])
-        if prop == "pe":
-            return properties.check_pe_acyclic(instance, assignment)
-        if prop == "fcm":
-            return properties.check_fcm(instance, assignment)
-        if prop == "ef1":
-            return properties.check_ef1(instance, assignment)
+        if prop in properties._DETERMINISTIC_CHECKERS:
+            return properties._DETERMINISTIC_CHECKERS[prop](instance, assignment)
         if prop == "fhr":
             return properties.check_fhr(instance, assignment)
         return properties.check_feri(instance, assignment, range(instance.item_count))
@@ -426,28 +420,34 @@ def run_experiment(config: dict) -> list[dict]:
     assignment.  Sub-seeds are derived deterministically from the master seed,
     the cell index, and the trial index.
     """
+    checkers = properties._DETERMINISTIC_CHECKERS
     mechanisms_list = config.get("mechanisms")
     sizes = config.get("sizes")
     trials = config.get("trials")
     seed = config.get("seed", 0)
-    props = config.get("properties", list(EXPERIMENT_PROPERTIES))
+    props = config.get("properties", list(checkers))
     if (
         not isinstance(mechanisms_list, list)
         or not mechanisms_list
         or not all(m in ("gebm", "gpbm", "rsdq") for m in mechanisms_list)
     ):
         raise InputError('config "mechanisms" must be a nonempty list over gebm/gpbm/rsdq')
+    # JSON booleans are Python ints; `type(...) is int` keeps them out
     if not isinstance(sizes, list) or not all(
         isinstance(cell, list)
         and len(cell) == 2
-        and all(isinstance(v, int) and v >= 1 for v in cell)
+        and all(type(v) is int and v >= 1 for v in cell)
         for cell in sizes
     ):
         raise InputError('config "sizes" must be a list of [agents, items] pairs')
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise InputError('config "trials" must be a positive integer')
+    if type(seed) is not int:
+        raise InputError('config "seed" must be an integer')
+    if not isinstance(props, list):
+        raise InputError('config "properties" must be a list of property names')
     for prop in props:
-        if prop not in EXPERIMENT_PROPERTIES:
+        if not isinstance(prop, str) or prop not in checkers:
             raise InputError(f"unknown experiment property {prop!r}")
 
     rows = []
@@ -474,13 +474,7 @@ def run_experiment(config: dict) -> list[dict]:
                     for o in assignment.bundles[j]:
                         rank_histogram[instance.global_rank[j][o] - 1] += 1
                 for prop in props:
-                    if prop == "fcm":
-                        ok = properties.check_fcm(instance, assignment).verdict
-                    elif prop == "pe":
-                        ok = properties.check_pe_acyclic(instance, assignment).verdict
-                    else:
-                        ok = properties.check_ef1(instance, assignment).verdict
-                    if not ok:
+                    if not checkers[prop](instance, assignment).verdict:
                         violations[prop] += 1
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             frac = first_choice_total / trials
@@ -510,8 +504,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"config is not valid JSON: {exc}") from exc
-    rows = run_experiment(config)
+    if not isinstance(config, dict):
+        raise InputError("config must be a JSON object")
     out = config.get("out", args.out)
+    if out is not None and not isinstance(out, str):
+        raise InputError('config "out" must be a file path')
+    rows = run_experiment(config)
     if out is None or out == "-":
         writer = csv.DictWriter(sys.stdout, fieldnames=EXPERIMENT_CSV_COLUMNS)
         writer.writeheader()

@@ -2,13 +2,13 @@
 
 Three families are implemented, all over strict ordinal preferences:
 
-* `ebm` - the eager Boston matching engine.  In each pass every active agent
-  applies for its favourite remaining item, every applied-for item is awarded
-  to one applicant chosen uniformly at random (losers stay active), and the
-  engine repeats on the shrunken item set until agents or items run out.
-* `gebm_*` - the multi-item extension: ceil(m/n) rounds, each running the
-  engine over the still-unallocated items with all agents re-activated.
-  Available in sampled, exact-lottery, and exact-expected modes.
+* `gebm_*` - the generalized eager Boston mechanism: ceil(m/n) rounds over
+  the still-unallocated items, each starting with every agent active.  In
+  each pass every active agent applies for its favourite remaining item,
+  every applied-for item is awarded to one applicant chosen uniformly at
+  random (losers stay active), and the round repeats on the shrunken item set
+  until agents or items run out.  The sampled, exact-lottery and
+  exact-expected modes all run one state transition, `_engine_pass`.
 * `gpbm` - the probabilistic variant: a simultaneous-eating scheme where, in
   each round, agents hold one unit of budget and consume the item they rank
   r-th globally during consumption round r, splitting supply at equal rates.
@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 from .model import (
     ONE,
@@ -79,69 +79,6 @@ class ModularRng:
             values[i], values[j] = values[j], values[i]
 
 
-#: Tie-breaks are either a random source or an explicit script: a sequence of
-#: agent indices consumed one entry per contested item, in item-index order.
-TieBreaker = Union[ModularRng, Sequence[int]]
-
-
-def _top_of(instance: Instance, agent: int, available: frozenset[int] | set[int]) -> int:
-    for o in instance.pref_order[agent]:
-        if o in available:
-            return o
-    raise AssertionError("agent queried against an empty item set")
-
-
-# ---------------------------------------------------------------------------
-# Eager Boston matching engine
-
-
-def ebm(
-    instance: Instance, available_items: Iterable[int], tie_breaker: TieBreaker
-) -> dict[int, int]:
-    """One engine run over `available_items`; returns a matching agent -> item.
-
-    Applicant sets are computed simultaneously against the pass-start state:
-    winners are drawn independently per item, then all applied-for items and
-    all winners are removed together.
-    """
-    items = set(available_items)
-    if not items:
-        raise InputError("the eager Boston engine needs a nonempty item set")
-    if not items <= set(range(instance.item_count)):
-        raise InputError("available items contain unknown indices")
-    script: Iterator[int] | None = None
-    if not isinstance(tie_breaker, ModularRng):
-        script = iter(tie_breaker)
-
-    active = list(range(instance.agent_count))
-    matching: dict[int, int] = {}
-    while active and items:
-        applicants: dict[int, list[int]] = {}
-        for j in active:
-            applicants.setdefault(_top_of(instance, j, items), []).append(j)
-        winners: set[int] = set()
-        for o in sorted(applicants):
-            group = applicants[o]
-            if len(group) == 1:
-                winner = group[0]
-            elif script is not None:
-                try:
-                    winner = next(script)
-                except StopIteration:
-                    raise InputError("tie-break script exhausted") from None
-                if winner not in group:
-                    raise InputError(
-                        f"scripted winner {winner} did not apply for item {o}"
-                    )
-            else:
-                winner = group[tie_breaker.below(len(group))]
-            matching[winner] = o
-            winners.add(winner)
-        items.difference_update(applicants)
-        active = [j for j in active if j not in winners]
-    return matching
-
-
 # ---------------------------------------------------------------------------
 # Generalized eager Boston mechanism
 
@@ -177,29 +114,6 @@ class GebmOutcome:
             raise InputError("round matchings do not sum to the total assignment")
 
 
-def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
-    """One seeded run: ceil(m/n) rounds of the engine over the leftover items."""
-    rng = ModularRng(seed)
-    n = instance.agent_count
-    m = instance.item_count
-    remaining = set(range(m))
-    stages: list[DeterministicAssignment] = []
-    item_sets: list[frozenset[int]] = []
-    total = [[0] * m for _ in range(n)]
-    for _ in range(instance.rounds_needed):
-        item_sets.append(frozenset(remaining))
-        matching = ebm(instance, remaining, rng)
-        stages.append(DeterministicAssignment.from_matching(n, m, matching))
-        for j, o in matching.items():
-            total[j][o] = 1
-        remaining.difference_update(matching.values())
-    return GebmOutcome(
-        DeterministicAssignment._from_validated_rows(tuple(tuple(row) for row in total)),
-        RoundDecomposition(tuple(stages)),
-        tuple(item_sets),
-    )
-
-
 #: An engine state (round index, active agents, remaining items); the two sets
 #: are bitmasks over agent and item indices.
 EngineState = tuple[int, int, int]
@@ -209,53 +123,101 @@ Contested = list[tuple[int, list[int]]]
 Move = tuple[tuple[int, ...], EngineState]
 
 
+def _engine_pass(
+    instance: Instance, state: EngineState
+) -> tuple[Contested, Callable[[Sequence[int]], EngineState]]:
+    """One pass from a state with items left: the contested items, with
+    applicants taken against the pass-start state, and the successor function.
+
+    Given one winner per contested item, the successor removes every
+    applied-for item and every winner; when no agent is left active but items
+    are, the next round starts with every agent active again.
+    """
+    n = instance.agent_count
+    prefs = instance.pref_order
+    round_index, active, remaining = state
+    applicants: dict[int, list[int]] = {}
+    for j in range(n):
+        if active >> j & 1:
+            for top in prefs[j]:
+                if remaining >> top & 1:
+                    break
+            applicants.setdefault(top, []).append(j)
+    next_remaining = remaining
+    for o in applicants:
+        next_remaining ^= 1 << o
+
+    def successor(winners: Sequence[int]) -> EngineState:
+        next_active = active
+        for j in winners:
+            next_active ^= 1 << j
+        if next_active or not next_remaining:
+            return (round_index, next_active, next_remaining)
+        return (round_index + 1, (1 << n) - 1, next_remaining)
+
+    return sorted(applicants.items()), successor
+
+
+def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
+    """One seeded run: a single path through the engine's passes, each
+    contested item with more than one applicant, in ascending item order,
+    going to the applicant drawn by `rng.below(len(group))`."""
+    rng = ModularRng(seed)
+    n = instance.agent_count
+    m = instance.item_count
+    state = (0, (1 << n) - 1, (1 << m) - 1)
+    matchings: list[dict[int, int]] = []
+    item_sets: list[frozenset[int]] = []
+    total = [[0] * m for _ in range(n)]
+    while state[2]:
+        round_index, _, remaining = state
+        if round_index == len(matchings):
+            matchings.append({})
+            item_sets.append(frozenset(o for o in range(m) if remaining >> o & 1))
+        contested, successor = _engine_pass(instance, state)
+        winners = [
+            group[rng.below(len(group))] if len(group) > 1 else group[0]
+            for _, group in contested
+        ]
+        for j, (o, _) in zip(winners, contested):
+            matchings[round_index][j] = o
+            total[j][o] = 1
+        state = successor(winners)
+    return GebmOutcome(
+        DeterministicAssignment._from_validated_rows(tuple(map(tuple, total))),
+        RoundDecomposition(tuple(DeterministicAssignment.from_matching(n, m, x) for x in matchings)),
+        tuple(item_sets),
+    )
+
+
 def _engine_states(instance: Instance) -> Iterator[tuple[EngineState, Contested, list[Move]]]:
     """Every reachable state of the multi-round engine, with its moves.
 
     What the engine does next depends only on its state, so the exact modes
     push their quantity forward through these states instead of walking every
-    tie-break path.  Yields (state, contested, moves): `contested` lists each
-    applied-for item with its applicants, in ascending item order, and `moves`
-    pairs every winners tuple (one winner per contested item, in
-    `itertools.product` order) with the state it leads to.  Every move removes
-    at least one item, so visiting states by decreasing item count yields each
-    state after all of its predecessors.  A state with no remaining items is
-    final and has no moves.  When a pass leaves no agent active, the next
-    round starts with every agent active again.
+    tie-break path.  Yields (state, contested, moves): `contested` is the
+    state's pass, as `_engine_pass` gives it, and `moves` pairs every winners
+    tuple (one winner per contested item, in `itertools.product` order) with
+    the state it leads to.  Every move removes at least one item, so visiting
+    states by decreasing item count yields each state after all of its
+    predecessors.  A state with no remaining items is final and has no moves.
     """
     n = instance.agent_count
     m = instance.item_count
-    everyone = (1 << n) - 1
-    prefs = instance.pref_order
     pending: list[dict[EngineState, None]] = [{} for _ in range(m + 1)]
-    pending[m][(0, everyone, (1 << m) - 1)] = None
+    pending[m][(0, (1 << n) - 1, (1 << m) - 1)] = None
     for left in range(m, -1, -1):
         for state in pending[left]:
-            round_index, active, remaining = state
-            if not remaining:
+            if not state[2]:
                 yield state, [], []
                 continue
-            applicants: dict[int, list[int]] = {}
-            for j in range(n):
-                if active >> j & 1:
-                    top = next(o for o in prefs[j] if remaining >> o & 1)
-                    applicants.setdefault(top, []).append(j)
-            contested = sorted(applicants.items())
-            next_remaining = remaining
-            for o in applicants:
-                next_remaining ^= 1 << o
+            contested, successor = _engine_pass(instance, state)
             successors = pending[left - len(contested)]
             moves = []
             for winners in itertools.product(*(group for _, group in contested)):
-                next_active = active
-                for j in winners:
-                    next_active ^= 1 << j
-                if next_active or not next_remaining:
-                    successor = (round_index, next_active, next_remaining)
-                else:
-                    successor = (round_index + 1, everyone, next_remaining)
-                successors[successor] = None
-                moves.append((winners, successor))
+                next_state = successor(winners)
+                successors[next_state] = None
+                moves.append((winners, next_state))
             yield state, contested, moves
 
 

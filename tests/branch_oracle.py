@@ -1,13 +1,17 @@
-"""Stand-alone enumerator for the eager mechanism's outcome distribution.
+"""Stand-alone enumerator and sampler for the eager mechanism.
 
 Deliberately independent of the package internals: it works on item and agent
 names, drives an explicit probability-weighted worklist instead of recursive
 generators, and re-derives round/pass structure from first principles.  Tests
-compare its exact distribution against the package's lottery mode.
+compare its exact distribution against the package's lottery mode, and its
+set-based sampler against the package's sample mode; the sampler shares only
+the package's random source.
 """
 
 import itertools
 from fractions import Fraction
+
+from fairassign import ModularRng
 
 
 def _favourite(prefs, available):
@@ -87,3 +91,37 @@ def lottery_as_bundles(instance, lottery):
         )
         out[key] = prob
     return out
+
+
+def sample_rounds(instance, seed):
+    """One seeded run of the eager mechanism, pass by pass over name sets.
+
+    Returns one (items at round start, matching {agent name: item name}) pair
+    per round, for ceil(m/n) rounds.  Within a pass, applicants are taken
+    against the pass-start item set; applied-for items are raffled in the
+    instance's item order, each among its applicants in agent order by
+    `ModularRng(seed).below(applicant count)`, and an item with a single
+    applicant draws nothing.
+    """
+    names = [a.name for a in instance.agents]
+    prefs = {a.name: tuple(a.prefs) for a in instance.agents}
+    rng = ModularRng(seed)
+    items_left = set(instance.items)
+    rounds = []
+    for _ in range(-(-len(instance.items) // len(names))):
+        start = frozenset(items_left)
+        active = list(names)
+        matching = {}
+        while active and items_left:
+            tops: dict[str, list[str]] = {}
+            for name in active:
+                tops.setdefault(_favourite(prefs[name], items_left), []).append(name)
+            for item in instance.items:
+                group = tops.get(item)
+                if group:
+                    winner = group[0] if len(group) == 1 else group[rng.below(len(group))]
+                    matching[winner] = item
+            items_left -= tops.keys()
+            active = [name for name in active if name not in matching]
+        rounds.append((start, matching))
+    return rounds

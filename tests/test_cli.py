@@ -324,10 +324,26 @@ def test_experiment_reproducible(tmp_path):
     assert rows[0] == rows[1]
 
 
-def test_experiment_invalid_config(tmp_path):
+def test_experiment_invalid_config(tmp_path, capsys):
+    cases = [
+        ({"trials": 0}, '"trials" must be a positive integer'),
+        ({"seed": "x"}, '"seed" must be an integer'),
+        ({"seed": 1.5}, '"seed" must be an integer'),
+        ({"seed": True}, '"seed" must be an integer'),
+        ({"sizes": [[True, 3]]}, '"sizes" must be a list of [agents, items] pairs'),
+        ({"trials": True}, '"trials" must be a positive integer'),
+        ({"properties": "pe"}, '"properties" must be a list of property names'),
+        ({"properties": [["pe"]]}, "unknown experiment property ['pe']"),
+        ([], "config must be a JSON object"),
+        ({"out": 99999}, '"out" must be a file path'),
+    ]
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"mechanisms": ["gebm"], "sizes": [[2, 3]], "trials": 0}))
-    assert run_cli("experiment", "--config", str(cfg)) == 2
+    for config, message in cases:
+        if isinstance(config, dict):
+            config = {"mechanisms": ["gebm"], "sizes": [[2, 3]], "trials": 1, **config}
+        cfg.write_text(json.dumps(config))
+        assert run_cli("experiment", "--config", str(cfg)) == 2, config
+        assert message in capsys.readouterr().err, config
 
 
 def test_experiment_guarantee_columns():

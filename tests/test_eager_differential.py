@@ -1,12 +1,19 @@
-"""The eager mechanism's exact modes, computed by a forward pass over engine
-states, against the stand-alone tie-break enumerator in `branch_oracle`, on
-random impartial-culture, identical and near-identical profiles: equal
-expected matrices and equal lotteries, `Fraction` for `Fraction`."""
+"""The eager mechanism's three modes, all run by one engine-state transition,
+against the stand-alone routes in `branch_oracle`, on random
+impartial-culture, identical and near-identical profiles: equal expected
+matrices and equal lotteries, `Fraction` for `Fraction`, and equal seeded
+samples, round by round."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairassign as fa
-from branch_oracle import enumerate_distribution, expected_shares, lottery_as_bundles
+from branch_oracle import (
+    enumerate_distribution,
+    expected_shares,
+    lottery_as_bundles,
+    sample_rounds,
+)
 from profile_strategies import profiles
 
 
@@ -25,3 +32,23 @@ def test_expected_matches_branch_oracle(instance):
 def test_lottery_matches_branch_oracle(instance):
     lottery = fa.gebm_lottery(instance)
     assert lottery_as_bundles(instance, lottery) == enumerate_distribution(instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles(max_agents=6, max_items=13), st.integers(0, 2**64 - 1))
+def test_sample_matches_reference_sampler(instance, seed):
+    outcome = fa.gebm_sample(instance, seed)
+    reference = sample_rounds(instance, seed)
+    rounds = tuple(
+        tuple(
+            tuple(int(matching.get(agent.name) == item) for item in instance.items)
+            for agent in instance.agents
+        )
+        for _, matching in reference
+    )
+    total = tuple(tuple(map(sum, zip(*agent_rows))) for agent_rows in zip(*rounds))
+    assert outcome.total.rows == total
+    assert tuple(stage.rows for stage in outcome.per_round.rounds) == rounds
+    assert outcome.remaining_items_per_round == tuple(
+        frozenset(instance.item_index[item] for item in start) for start, _ in reference
+    )

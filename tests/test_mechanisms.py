@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 import fairassign as fa
-from fairassign.mechanisms import DEFAULT_BRANCH_CAP, ModularRng, _equal_rate_split
+from fairassign.mechanisms import (
+    DEFAULT_BRANCH_CAP,
+    ModularRng,
+    _engine_pass,
+    _equal_rate_split,
+)
 from fairassign import oracle
 from fairassign.model import InputError, RoundDecomposition, SizeLimitError
 
@@ -23,28 +28,36 @@ def bundle_names(instance, assignment, agent):
 
 
 def test_engine_scripted_first_round(two_agent):
-    matching = fa.ebm(two_agent, range(4), [0])
-    assert matching == {0: two_agent.item_index["a"], 1: two_agent.item_index["c"]}
+    a, c = two_agent.item_index["a"], two_agent.item_index["c"]
+    everything = (1 << 4) - 1
+    contested, successor = _engine_pass(two_agent, (0, 0b11, everything))
+    # applicants are taken at pass start: the loser of a waits for the next pass
+    assert contested == [(a, [0, 1])]
+    state = successor([0])
+    assert state == (0, 0b10, everything ^ 1 << a)
+    contested, successor = _engine_pass(two_agent, state)
+    assert contested == [(c, [1])]
+    # the round ends with both agents matched; the next one starts over {b, d}
+    leftover = 1 << two_agent.item_index["b"] | 1 << two_agent.item_index["d"]
+    assert successor([1]) == (1, 0b11, leftover)
 
 
 def test_engine_scripted_leftover_round(two_agent):
-    items = [two_agent.item_index["b"], two_agent.item_index["d"]]
-    matching = fa.ebm(two_agent, items, [0])
-    assert matching == {0: two_agent.item_index["b"], 1: two_agent.item_index["d"]}
+    b, d = two_agent.item_index["b"], two_agent.item_index["d"]
+    contested, successor = _engine_pass(two_agent, (1, 0b11, 1 << b | 1 << d))
+    assert contested == [(b, [0, 1])]
+    state = successor([0])
+    assert state == (1, 0b10, 1 << d)
+    contested, successor = _engine_pass(two_agent, state)
+    assert contested == [(d, [1])]
+    assert successor([1]) == (1, 0, 0)  # no items left: final, no new round
 
 
 def test_engine_single_agent():
     inst = fa.Instance.from_prefs({"1": ["x", "y"]})
-    assert fa.ebm(inst, [0, 1], []) == {0: 0}
-
-
-def test_engine_errors(two_agent):
-    with pytest.raises(InputError):
-        fa.ebm(two_agent, [], ModularRng(0))
-    with pytest.raises(InputError):
-        fa.ebm(two_agent, range(4), [])  # script too short for the coin
-    with pytest.raises(InputError):
-        fa.ebm(two_agent, range(4), [5])  # scripted winner did not apply
+    contested, successor = _engine_pass(inst, (0, 0b1, 0b11))
+    assert contested == [(0, [0])]
+    assert successor([0]) == (1, 0b1, 0b10)
 
 
 # ---------------------------------------------------------------------------
