@@ -255,7 +255,9 @@ def _check_one(
             return properties._DETERMINISTIC_CHECKERS[prop](instance, assignment)
         if prop == "fhr":
             return properties.check_fhr(instance, assignment)
-        return properties.check_feri(instance, assignment, range(instance.item_count))
+        if "rounds" not in doc:
+            return properties.check_feri(instance, assignment, range(instance.item_count))
+        return _check_feri_by_round(instance, doc)
     if prop in ("sde", "sdwef", "sdef"):
         need("random", "assignment")
         if kind == "random":
@@ -273,6 +275,24 @@ def _check_one(
         inner = prop.removeprefix("expost-")
         return properties.check_lottery_expost(instance, lottery, [inner])[inner]
     raise InputError(f"unknown property {prop!r}")
+
+
+def _check_feri_by_round(instance: Instance, doc: dict) -> properties.PropertyReport:
+    """feri on each round's matching over the items left at the round's start;
+    a failing report names the round (1-based)."""
+    rounds, round_items = doc["rounds"], doc.get("round_items")
+    lists = isinstance(rounds, list) and isinstance(round_items, list)
+    if not lists or len(rounds) != len(round_items):
+        raise InputError('"rounds" and "round_items" must be lists of equal length')
+    for index, (stage, items) in enumerate(zip(rounds, round_items), start=1):
+        try:
+            domain = [instance.item_index[name] for name in items]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"round {index} lists an unknown item") from exc
+        report = properties.check_feri(instance, assignment_from_payload(instance, stage), domain)
+        if not report.verdict:
+            return properties.PropertyReport("feri", False, {"round": index, **report.witness})
+    return properties.PropertyReport("feri", True)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

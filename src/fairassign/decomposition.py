@@ -63,9 +63,6 @@ class SubagentMatrix:
         if nil_total != rows - self.item_count:
             raise InputError("nil column total must equal n * rounds - m")
 
-    def row_index(self, agent: int, round_index: int) -> int:
-        return agent * self.round_count + round_index
-
     def nil_share(self, row: int) -> Fraction:
         return self.entries[row][self.item_count]
 
@@ -162,44 +159,34 @@ class DecomposedLottery:
 
     def atom_assignment(self, index: int) -> DeterministicAssignment:
         """Merge each agent's subagents of one atom into a single bundle."""
-        _, matching = self.atoms[index]
-        bundles: dict[int, list[int]] = {}
-        for row, target in enumerate(matching):
-            if target is not None:
-                bundles.setdefault(row // self.source.round_count, []).append(target)
-        return DeterministicAssignment.from_bundles(
-            self.source.agent_count, self.source.item_count, bundles
-        )
+        return _merge_subagents(self.source, self.atoms[index][1])
 
     def atom_round_matchings(self, index: int) -> tuple[DeterministicAssignment, ...]:
         """Per-round one-to-one matchings of one atom."""
         _, matching = self.atoms[index]
-        stages = []
-        for c in range(self.source.round_count):
-            stage: dict[int, int] = {}
-            for j in range(self.source.agent_count):
-                target = matching[self.source.row_index(j, c)]
-                if target is not None:
-                    stage[j] = target
-            stages.append(
-                DeterministicAssignment.from_matching(
-                    self.source.agent_count, self.source.item_count, stage
-                )
+        rounds = self.source.round_count
+        # rows are agent-major, so round c's subagents are rows c, c + rounds, ...
+        return tuple(
+            DeterministicAssignment.from_matching(
+                self.source.agent_count,
+                self.source.item_count,
+                {j: o for j, o in enumerate(matching[c::rounds]) if o is not None},
             )
-        return tuple(stages)
+            for c in range(rounds)
+        )
 
     def atom_round_item_sets(self, index: int) -> tuple[frozenset[int], ...]:
         """Items still unallocated at the start of each round of one atom.
 
         Items a subagent left to nil stay available for later rounds.
         """
+        _, matching = self.atoms[index]
+        rounds = self.source.round_count
         remaining = frozenset(range(self.source.item_count))
         out = []
-        for stage in self.atom_round_matchings(index):
+        for c in range(rounds):
             out.append(remaining)
-            remaining = remaining - {
-                o for row in stage.rows for o, v in enumerate(row) if v
-            }
+            remaining = remaining.difference(matching[c::rounds])
         return tuple(out)
 
 
@@ -309,27 +296,21 @@ def birkhoff_decompose(matrix: SubagentMatrix) -> DecomposedLottery:
         )
         for coefficient, matching in raw_atoms
     )
-    return DecomposedLottery(matrix, atoms, _project(matrix, atoms))
+    projected = Lottery.of(
+        (coefficient, _merge_subagents(matrix, matching)) for coefficient, matching in atoms
+    )
+    return DecomposedLottery(matrix, atoms, projected)
 
 
-def _project(
-    matrix: SubagentMatrix, atoms: tuple[tuple[Fraction, tuple[int | None, ...]], ...]
-) -> Lottery:
-    pairs = []
-    for coefficient, matching in atoms:
-        bundles: dict[int, list[int]] = {}
-        for row, target in enumerate(matching):
-            if target is not None:
-                bundles.setdefault(row // matrix.round_count, []).append(target)
-        pairs.append(
-            (
-                coefficient,
-                DeterministicAssignment.from_bundles(
-                    matrix.agent_count, matrix.item_count, bundles
-                ),
-            )
-        )
-    return Lottery.of(pairs)
+def _merge_subagents(
+    matrix: SubagentMatrix, matching: tuple[int | None, ...]
+) -> DeterministicAssignment:
+    """The assignment of one atom: each agent's subagents' items in one bundle."""
+    bundles: dict[int, list[int]] = {}
+    for row, target in enumerate(matching):
+        if target is not None:
+            bundles.setdefault(row // matrix.round_count, []).append(target)
+    return DeterministicAssignment.from_bundles(matrix.agent_count, matrix.item_count, bundles)
 
 
 @dataclass(frozen=True)

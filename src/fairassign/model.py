@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -194,6 +195,24 @@ class Instance:
         """first_choices[j] is agent j's most preferred item index."""
         return tuple(order[0] for order in self.pref_order)
 
+    @cached_property
+    def first_choice_items(self) -> tuple[int, ...]:
+        """The items that are some agent's first choice, ascending."""
+        return tuple(sorted(set(self.first_choices)))
+
+    @cached_property
+    def better_masks(self) -> tuple[tuple[int, ...], ...]:
+        """better_masks[j][o] is the bitmask of the items agent j ranks above item o."""
+        out = []
+        for order in self.pref_order:
+            row = [0] * self.item_count
+            above = 0
+            for o in order:
+                row[o] = above
+                above |= 1 << o
+            out.append(tuple(row))
+        return tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # Preference queries and dominance relations
@@ -347,9 +366,8 @@ class DeterministicAssignment:
         """holders[o] is the agent holding item o, or None if unallocated."""
         out: list[int | None] = [None] * self.item_count
         for j, row in enumerate(self.rows):
-            for o, v in enumerate(row):
-                if v:
-                    out[o] = j
+            for o in compress(range(len(row)), row):
+                out[o] = j
         return tuple(out)
 
     @cached_property
@@ -503,9 +521,10 @@ class RoundDecomposition:
         for stage in self.rounds:
             if stage.agent_count != n or stage.item_count != m:
                 raise InputError("round matrices have inconsistent shapes")
-            for row in stage.rows:
-                if share_sum(row) > 1:
-                    raise InputError("an agent exceeds one unit within a single round")
+            # a matching's 0/1 int rows add exactly without `Fraction`
+            add = sum if isinstance(stage, DeterministicAssignment) else share_sum
+            if any(add(row) > 1 for row in stage.rows):
+                raise InputError("an agent exceeds one unit within a single round")
 
     @property
     def round_count(self) -> int:
@@ -533,28 +552,21 @@ def permute_instance(instance: Instance, perm: Mapping[int, int]) -> Instance:
     return Instance(instance.items, agents)
 
 
+def _permute_columns(rows: tuple[tuple, ...], perm: Mapping[int, int]) -> tuple[tuple, ...]:
+    """Every row with its entry o moved to column perm[o]."""
+    _check_permutation(len(rows[0]), perm)
+    source = sorted(perm, key=perm.__getitem__)  # source[perm[o]] == o
+    return tuple(tuple(row[o] for o in source) for row in rows)
+
+
 def permute_deterministic(
     assignment: DeterministicAssignment, perm: Mapping[int, int]
 ) -> DeterministicAssignment:
-    _check_permutation(assignment.item_count, perm)
-    rows = []
-    for row in assignment.rows:
-        new = [0] * len(row)
-        for o, v in enumerate(row):
-            new[perm[o]] = v
-        rows.append(tuple(new))
-    return DeterministicAssignment(tuple(rows))
+    return DeterministicAssignment(_permute_columns(assignment.rows, perm))
 
 
 def permute_random(matrix: RandomAssignment, perm: Mapping[int, int]) -> RandomAssignment:
-    _check_permutation(matrix.item_count, perm)
-    rows = []
-    for row in matrix.rows:
-        new = [ZERO] * len(row)
-        for o, v in enumerate(row):
-            new[perm[o]] = v
-        rows.append(tuple(new))
-    return RandomAssignment(tuple(rows))
+    return RandomAssignment(_permute_columns(matrix.rows, perm))
 
 
 def permute_lottery(lottery: Lottery, perm: Mapping[int, int]) -> Lottery:

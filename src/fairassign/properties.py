@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     DeterministicAssignment,
@@ -18,7 +18,6 @@ from .model import (
     Instance,
     Lottery,
     RandomAssignment,
-    ZERO,
     integer_rows,
 )
 
@@ -41,60 +40,53 @@ class PropertyReport:
 # Item-relation acyclicity (efficiency)
 
 
-def _first_cycle(item_count: int, edges: Mapping[int, set[int]]) -> list[int] | None:
-    """First directed cycle under depth-first search with ascending vertex order."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * item_count
-    for start in range(item_count):
-        if color[start] != WHITE:
+def _first_cycle(out_edges: Sequence[int]) -> list[int] | None:
+    """First directed cycle under depth-first search with ascending vertex order.
+
+    `out_edges[v]` is the bitmask of v's successors.  The search steps to the
+    lowest-numbered successor not yet finished: one on the path closes a
+    cycle, any other is a step deeper.
+    """
+    finished = 0
+    for start in range(len(out_edges)):
+        if finished >> start & 1:
             continue
-        stack: list[tuple[int, Iterable[int]]] = [(start, iter(sorted(edges.get(start, ()))))]
         path = [start]
-        color[start] = GRAY
-        while stack:
-            node, neighbours = stack[-1]
-            advanced = False
-            for nxt in neighbours:
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
+        on_path = 1 << start
+        while path:
+            node = path[-1]
+            pending = out_edges[node] & ~finished
+            if not pending:
+                finished |= 1 << node
+                on_path ^= 1 << path.pop()
+                continue
+            nxt = (pending & -pending).bit_length() - 1
+            if on_path >> nxt & 1:
+                return path[path.index(nxt):] + [nxt]
+            path.append(nxt)
+            on_path |= 1 << nxt
     return None
 
 
-def _cycle_witness(instance: Instance, cycle: list[int]) -> dict:
-    return {"cycle": [instance.items[o] for o in cycle]}
+def _acyclic_report(name: str, instance: Instance, out_edges: Sequence[int]) -> PropertyReport:
+    cycle = _first_cycle(out_edges)
+    if cycle is None:
+        return PropertyReport(name, True)
+    return PropertyReport(name, False, {"cycle": [instance.items[o] for o in cycle]})
 
 
 def check_pe_acyclic(instance: Instance, assignment: DeterministicAssignment) -> PropertyReport:
     """Pareto efficiency via acyclicity of the held-item improvement relation.
 
     There is an edge from item o to item o' whenever some holder of o strictly
-    prefers o'.
+    prefers o'.  Every item of a complete assignment has one holder, so item
+    o's out-edges are `instance.better_masks[holder][o]`.
     """
-    if not assignment.is_complete:
+    holders = assignment.holders
+    if None in holders:
         raise InputError("Pareto efficiency is checked on complete assignments")
-    edges: dict[int, set[int]] = {}
-    for j in range(instance.agent_count):
-        order = instance.pref_order[j]
-        better: list[int] = []
-        held = assignment.bundles[j]
-        for o in order:
-            if o in held and better:
-                edges.setdefault(o, set()).update(better)
-            better.append(o)
-    cycle = _first_cycle(instance.item_count, edges)
-    if cycle is None:
-        return PropertyReport("pe", True)
-    return PropertyReport("pe", False, _cycle_witness(instance, cycle))
+    better = instance.better_masks
+    return _acyclic_report("pe", instance, [better[j][o] for o, j in enumerate(holders)])
 
 
 def check_sde_acyclic(
@@ -102,26 +94,23 @@ def check_sde_acyclic(
     matrix: RandomAssignment,
     require_fully_allocating: bool = True,
 ) -> PropertyReport:
-    """Ex-ante efficiency via acyclicity over positive probabilistic shares.
+    """Ex-ante efficiency via acyclicity over positive probabilistic shares:
+    item o's out-edges are the items that an agent with a share of o prefers.
 
     Total outputs must be fully allocating; pass `require_fully_allocating=False`
     to run the same acyclicity criterion on one round's partial matrix.
     """
     if require_fully_allocating and not matrix.is_fully_allocating:
         raise InputError("ex-ante efficiency is checked on fully allocating matrices")
-    edges: dict[int, set[int]] = {}
-    for j in range(instance.agent_count):
-        order = instance.pref_order[j]
-        row = matrix.row(j)
-        better: list[int] = []
-        for o in order:
-            if row[o] > ZERO and better:
-                edges.setdefault(o, set()).update(better)
-            better.append(o)
-    cycle = _first_cycle(instance.item_count, edges)
-    if cycle is None:
-        return PropertyReport("sde", True)
-    return PropertyReport("sde", False, _cycle_witness(instance, cycle))
+    if (matrix.agent_count, matrix.item_count) != (instance.agent_count, instance.item_count):
+        raise InputError("share matrix shape does not match the instance")
+    out_edges = [0] * instance.item_count
+    for row, better in zip(matrix.rows, instance.better_masks):
+        # shares are validated nonnegative: nonzero means positive
+        for o, share in enumerate(row):
+            if share:
+                out_edges[o] |= better[o]
+    return _acyclic_report("sde", instance, out_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +119,22 @@ def check_sde_acyclic(
 
 def fcm_count(instance: Instance, assignment: DeterministicAssignment) -> int:
     """How many agents hold their global first choice."""
-    return sum(
-        1
-        for j in range(instance.agent_count)
-        if instance.first_choices[j] in assignment.bundles[j]
-    )
+    holders = assignment.holders
+    return sum(holders[o] == j for j, o in enumerate(instance.first_choices))
 
 
 def fcm_max(instance: Instance) -> int:
     """The attainable maximum: the number of distinct first-choice items."""
-    return len(set(instance.first_choices))
+    return len(instance.first_choice_items)
 
 
 def check_fcm(instance: Instance, assignment: DeterministicAssignment) -> PropertyReport:
     """True iff every item that is somebody's first choice goes to such an agent."""
-    if not assignment.is_complete:
+    holders = assignment.holders
+    if None in holders:
         raise InputError("first-choice maximality is checked on complete assignments")
-    for o in sorted(set(instance.first_choices)):
-        holder = assignment.holders[o]
+    for o in instance.first_choice_items:
+        holder = holders[o]
         if instance.first_choices[holder] != o:
             return PropertyReport(
                 "fcm",

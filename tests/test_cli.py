@@ -193,6 +193,82 @@ def test_check_expost_on_lottery(tmp_path, instance_file):
     ) == 0
 
 
+def _run_sample_and_check_feri(tmp_path, instance_file, seed):
+    artifact = tmp_path / f"sample{seed}.json"
+    assert run_cli(
+        "run", "--instance", str(instance_file), "--mechanism", "gebm",
+        "--mode", "sample", "--seed", str(seed), "--out", str(artifact),
+    ) == 0
+    report = tmp_path / f"feri{seed}.json"
+    code = run_cli(
+        "check", "--instance", str(instance_file), "--input", str(artifact),
+        "--properties", "feri", "--strict", "--out", str(report),
+    )
+    return code, artifact, report
+
+
+def test_check_feri_on_multi_round_sample(tmp_path, instance_file):
+    # m > n: the total is no matching, so feri is checked round by round
+    for seed in (0, 1, 5):
+        code, _, report = _run_sample_and_check_feri(tmp_path, instance_file, seed)
+        assert code == 0
+        assert json.loads(report.read_text()) == [
+            {"property": "feri", "verdict": True, "witness": None}
+        ]
+
+
+def test_check_feri_single_round_report_unchanged(tmp_path, four_agent):
+    # m <= n: one round over every item, the report the total-assignment check wrote
+    expected = (
+        '[\n  {\n    "property": "feri",\n    "verdict": true,\n    "witness": null\n  }\n]\n'
+    )
+    three_items = fa.Instance.from_prefs(
+        {"1": list("abc"), "2": list("bac"), "3": list("abc"), "4": list("cba")},
+        items=list("abc"),
+    )
+    for index, instance in enumerate((four_agent, three_items)):
+        path = tmp_path / f"instance{index}.json"
+        path.write_text(fa.serialize_instance(instance))
+        for seed in (0, 3):
+            code, _, report = _run_sample_and_check_feri(tmp_path, path, seed)
+            assert code == 0
+            assert report.read_text() == expected
+
+
+def test_check_feri_failure_names_the_round(tmp_path, instance_file):
+    _, artifact, _ = _run_sample_and_check_feri(tmp_path, instance_file, 0)
+    doc = json.loads(artifact.read_text())
+    # round 2 runs over {b, d} or {c, d}; both agents want the first of the
+    # two, which the tampered matching leaves unallocated
+    best, worst = doc["round_items"][1]
+    doc["rounds"][1] = {"1": [worst], "2": []}
+    artifact.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert run_cli(
+        "check", "--instance", str(instance_file), "--input", str(artifact),
+        "--properties", "feri", "--strict", "--out", str(report),
+    ) == 1
+    witness = json.loads(report.read_text())[0]["witness"]
+    assert witness == {"round": 2, "item": best, "holder": None}
+    del doc["round_items"]
+    artifact.write_text(json.dumps(doc))
+    assert run_cli(
+        "check", "--instance", str(instance_file), "--input", str(artifact),
+        "--properties", "feri",
+    ) == 2
+
+
+def test_check_feri_without_rounds_checks_the_total(tmp_path, instance_file):
+    artifact = tmp_path / "A.json"
+    artifact.write_text(json.dumps(
+        {"kind": "assignment", "assignment": {"1": ["a", "b"], "2": ["c", "d"]}}
+    ))
+    assert run_cli(
+        "check", "--instance", str(instance_file), "--input", str(artifact),
+        "--properties", "feri",
+    ) == 2  # not a matching, as before
+
+
 def test_check_unknown_property(tmp_path, instance_file):
     artifact = tmp_path / "A.json"
     artifact.write_text(json.dumps({"kind": "assignment", "assignment": {"1": [], "2": []}}))

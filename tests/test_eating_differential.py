@@ -3,28 +3,13 @@
 profiles: equal gpbm matrices and traces, equal BvN atoms in the same order,
 and equal sd-envy and EF1 verdicts and first witnesses."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairassign as fa
 from eating_reference import birkhoff_atoms, eat, ef1_witness, sd_envy_witnesses
 from fairassign.decomposition import birkhoff_decompose, expand_subagents
-from profile_strategies import profiles
-
-
-@st.composite
-def fully_allocating(draw, instance):
-    """A random share matrix whose every item column sums to 1."""
-    n = instance.agent_count
-    columns = []
-    for _ in range(instance.item_count):
-        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        if not any(weights):
-            weights[draw(st.integers(0, n - 1))] = 1
-        columns.append([Fraction(w, sum(weights)) for w in weights])
-    return fa.RandomAssignment(tuple(zip(*columns)))
+from profile_strategies import fully_allocating, profiles
 
 
 @st.composite

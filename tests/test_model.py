@@ -218,6 +218,20 @@ def test_round_decomposition_validation():
         RoundDecomposition((stage, overfull))
 
 
+def test_round_decomposition_rejects_an_over_one_unit_row_of_either_stage_type():
+    unit = "an agent exceeds one unit within a single round"
+    matching = fa.DeterministicAssignment.from_bundles(2, 4, {0: [0], 1: [2]})
+    overfull = fa.DeterministicAssignment.from_bundles(2, 4, {0: [1, 3]})
+    with pytest.raises(InputError, match=unit):
+        RoundDecomposition((matching, overfull))
+    half = fa.RandomAssignment(((F(1, 2), F(1, 2), F(0), F(0)), (F(1, 2), F(1, 2), F(0), F(0))))
+    full = fa.RandomAssignment(((F(0), F(0), F(1, 2), F(1, 2)), (F(0), F(0), F(1, 2), F(1, 2))))
+    assert RoundDecomposition((half, full)).round_count == 2
+    over = fa.RandomAssignment(((F(0), F(0), F(2, 3), F(1, 2)), (F(0), F(0), F(1, 3), F(1, 2))))
+    with pytest.raises(InputError, match=unit):
+        RoundDecomposition((half, over))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -175,9 +175,11 @@ def test_sd_envy_checks_reject_mismatched_shapes(two_agent):
     h = F(1, 2)
     wide = fa.RandomAssignment(((1, h, 1, 0, 1), (0, h, 0, 1, 0)))
     tall = fa.RandomAssignment(((1, 0, 0, 0), (0, h, h, h), (0, h, h, h)))
-    for matrix in (wide, tall):
+    narrow = fa.RandomAssignment(((1, h, 0), (0, h, 1)))
+    short = fa.RandomAssignment(((1, 1, 1, 1),))
+    for matrix in (wide, tall, narrow, short):
         assert matrix.is_fully_allocating
-        for check in (fa.check_sd_wef, fa.check_sd_ef):
+        for check in (fa.check_sd_wef, fa.check_sd_ef, fa.check_sde_acyclic):
             with pytest.raises(InputError, match="shape"):
                 check(two_agent, matrix)
 
