@@ -250,7 +250,7 @@ def _check_one(
 
     if prop in ("pe", "fcm", "ef1", "fhr", "feri"):
         need("assignment")
-        assignment = assignment_from_payload(instance, doc["assignment"])
+        assignment = assignment_from_payload(instance, doc.get("assignment"))
         if prop in properties._DETERMINISTIC_CHECKERS:
             return properties._DETERMINISTIC_CHECKERS[prop](instance, assignment)
         if prop == "fhr":
@@ -261,9 +261,9 @@ def _check_one(
     if prop in ("sde", "sdwef", "sdef"):
         need("random", "assignment")
         if kind == "random":
-            matrix = random_from_payload(instance, doc["matrix"])
+            matrix = random_from_payload(instance, doc.get("matrix"))
         else:
-            matrix = assignment_from_payload(instance, doc["assignment"]).to_random()
+            matrix = assignment_from_payload(instance, doc.get("assignment")).to_random()
         if prop == "sde":
             return properties.check_sde_acyclic(instance, matrix)
         if prop == "sdwef":
@@ -271,7 +271,7 @@ def _check_one(
         return properties.check_sd_ef(instance, matrix)
     if prop.startswith("expost-"):
         need("lottery", "decomposed_lottery")
-        lottery = lottery_from_payload(instance, doc["atoms"])
+        lottery = lottery_from_payload(instance, doc.get("atoms"))
         inner = prop.removeprefix("expost-")
         return properties.check_lottery_expost(instance, lottery, [inner])[inner]
     raise InputError(f"unknown property {prop!r}")

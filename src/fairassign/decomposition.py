@@ -306,11 +306,11 @@ def _merge_subagents(
     matrix: SubagentMatrix, matching: tuple[int | None, ...]
 ) -> DeterministicAssignment:
     """The assignment of one atom: each agent's subagents' items in one bundle."""
-    bundles: dict[int, list[int]] = {}
+    holders: list[int | None] = [None] * matrix.item_count
     for row, target in enumerate(matching):
         if target is not None:
-            bundles.setdefault(row // matrix.round_count, []).append(target)
-    return DeterministicAssignment.from_bundles(matrix.agent_count, matrix.item_count, bundles)
+            holders[target] = row // matrix.round_count
+    return DeterministicAssignment._from_holders(matrix.agent_count, tuple(holders))
 
 
 @dataclass(frozen=True)

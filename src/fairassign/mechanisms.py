@@ -92,25 +92,20 @@ class GebmOutcome:
     remaining_items_per_round: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        n = self.total.agent_count
-        m = self.total.item_count
-        acc = [[0] * m for _ in range(n)]
-        expected_remaining = frozenset(range(m))
+        holders: list[int | None] = [None] * self.total.item_count
+        expected_remaining = frozenset(range(self.total.item_count))
         if len(self.remaining_items_per_round) != self.per_round.round_count:
             raise InputError("round item sets do not match the round count")
         for stage, remaining in zip(self.per_round.rounds, self.remaining_items_per_round):
             if remaining != expected_remaining:
                 raise InputError("round item sets are not nested-decreasing")
-            allocated = set()
-            for j, row in enumerate(stage.rows):
-                for o, v in enumerate(row):
-                    if v:
-                        allocated.add(o)
-                        acc[j][o] += 1
+            allocated = {o for o, j in enumerate(stage.holders) if j is not None}
             if not allocated <= remaining:
                 raise InputError("a round allocated an item outside its remaining set")
+            for o in allocated:
+                holders[o] = stage.holders[o]
             expected_remaining = remaining - allocated
-        if tuple(tuple(row) for row in acc) != self.total.rows:
+        if tuple(holders) != self.total.holders:
             raise InputError("round matchings do not sum to the total assignment")
 
 
@@ -166,13 +161,13 @@ def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
     n = instance.agent_count
     m = instance.item_count
     state = (0, (1 << n) - 1, (1 << m) - 1)
-    matchings: list[dict[int, int]] = []
+    rounds: list[list[int | None]] = []
     item_sets: list[frozenset[int]] = []
-    total = [[0] * m for _ in range(n)]
+    total: list[int | None] = [None] * m
     while state[2]:
         round_index, _, remaining = state
-        if round_index == len(matchings):
-            matchings.append({})
+        if round_index == len(rounds):
+            rounds.append([None] * m)
             item_sets.append(frozenset(o for o in range(m) if remaining >> o & 1))
         contested, successor = _engine_pass(instance, state)
         winners = [
@@ -180,12 +175,13 @@ def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
             for _, group in contested
         ]
         for j, (o, _) in zip(winners, contested):
-            matchings[round_index][j] = o
-            total[j][o] = 1
+            rounds[round_index][o] = total[o] = j
         state = successor(winners)
     return GebmOutcome(
-        DeterministicAssignment._from_validated_rows(tuple(map(tuple, total))),
-        RoundDecomposition(tuple(DeterministicAssignment.from_matching(n, m, x) for x in matchings)),
+        DeterministicAssignment._from_holders(n, tuple(total)),
+        RoundDecomposition(
+            tuple(DeterministicAssignment._from_holders(n, tuple(h)) for h in rounds)
+        ),
         tuple(item_sets),
     )
 
@@ -239,10 +235,12 @@ def gebm_lottery(instance: Instance, max_branches: int = DEFAULT_BRANCH_CAP) -> 
     """The exact output distribution.
 
     Raises `SizeLimitError`, before building anything, when the run has more
-    than `max_branches` tie-break paths.  Partial assignments, as per-agent
-    item bitmasks, are carried forward through the engine states.  Two paths
-    part where they give some item to different agents, so every path ends in
-    its own assignment and the lottery has one atom per path.
+    than `max_branches` tie-break paths.  Partial assignments, as holders
+    tuples, are carried forward through the engine states with their path
+    counts (the product of the winners-tuple counts along the path, one over
+    the path's probability).  Two paths part where they give some item to
+    different agents, so every path ends in its own assignment and the lottery
+    has one atom per path.
     """
     branches = _branch_count(instance)
     if branches > max_branches:
@@ -252,25 +250,25 @@ def gebm_lottery(instance: Instance, max_branches: int = DEFAULT_BRANCH_CAP) -> 
         )
     n = instance.agent_count
     m = instance.item_count
-    partial: dict[EngineState, list[tuple[tuple[int, ...], Fraction]]] = {}
+    partial: dict[EngineState, list[tuple[tuple[int | None, ...], int]]] = {}
     atoms: list[tuple[Fraction, DeterministicAssignment]] = []
     for state, contested, moves in _engine_states(instance):
-        held = partial.pop(state, None) or [((0,) * n, ONE)]  # at the start state
+        held = partial.pop(state, None) or [((None,) * m, 1)]  # at the start state
         if not moves:
-            for bundles, prob in held:
-                rows = tuple(tuple(mask >> o & 1 for o in range(m)) for mask in bundles)
-                atoms.append((prob, DeterministicAssignment._from_validated_rows(rows)))
+            atoms.extend(
+                (Fraction(1, count), DeterministicAssignment._from_holders(n, holders))
+                for holders, count in held
+            )
             continue
         ways = math.prod(len(group) for _, group in contested)
-        scaled = [(bundles, prob / ways) for bundles, prob in held]
         items = [o for o, _ in contested]
         for winners, successor in moves:
             target = partial.setdefault(successor, [])
-            for bundles, prob in scaled:
-                grown = list(bundles)
+            for holders, count in held:
+                grown = list(holders)
                 for j, o in zip(winners, items):
-                    grown[j] |= 1 << o
-                target.append((tuple(grown), prob))
+                    grown[o] = j
+                target.append((tuple(grown), count * ways))
     return Lottery.of(atoms)
 
 

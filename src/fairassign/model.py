@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
@@ -289,15 +288,18 @@ def lex_dominates(order: Sequence[int], p: Sequence[Fraction], q: Sequence[Fract
 # Assignments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DeterministicAssignment:
-    """A concrete allocation: binary n x m matrix, each item held at most once."""
+    """A concrete allocation, each item held at most once, stored as `holders`
+    (item -> agent index, or None if unallocated); the binary n x m `rows`, the
+    bundles and the indicators derive from it.  Equality and hashing use
+    (agent_count, holders), which is equivalent to comparing `rows`."""
 
-    rows: tuple[tuple[int, ...], ...]
+    agent_count: int
+    holders: tuple[int | None, ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
         if not rows:
             raise InputError("assignment needs at least one agent row")
         m = len(rows[0])
@@ -307,41 +309,43 @@ class DeterministicAssignment:
             for v in row:
                 if v not in (0, 1):
                     raise InputError("assignment entries must be 0 or 1")
+        holders: list[int | None] = [None] * m
         for o in range(m):
             if sum(row[o] for row in rows) > 1:
                 raise InputError(f"item column {o} is allocated more than once")
+            holders[o] = next((j for j, row in enumerate(rows) if row[o]), None)
+        object.__setattr__(self, "agent_count", len(rows))
+        object.__setattr__(self, "holders", tuple(holders))
 
     @classmethod
-    def _from_validated_rows(
-        cls, rows: tuple[tuple[int, ...], ...]
+    def _from_holders(
+        cls, agent_count: int, holders: tuple[int | None, ...]
     ) -> "DeterministicAssignment":
-        """Skip re-validation for rows a factory just built itself."""
+        """Skip validation for holders a producer just built itself."""
         out = object.__new__(cls)
-        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "agent_count", agent_count)
+        object.__setattr__(out, "holders", holders)
         return out
 
     @classmethod
     def zero(cls, agent_count: int, item_count: int) -> "DeterministicAssignment":
-        return cls._from_validated_rows(tuple((0,) * item_count for _ in range(agent_count)))
+        return cls._from_holders(agent_count, (None,) * item_count)
 
     @classmethod
     def from_bundles(
         cls, agent_count: int, item_count: int, bundles: Mapping[int, Iterable[int]]
     ) -> "DeterministicAssignment":
-        rows = [[0] * item_count for _ in range(agent_count)]
-        taken: set[int] = set()
+        holders: list[int | None] = [None] * item_count
         for j, bundle in bundles.items():
             if not 0 <= j < agent_count:
                 raise InputError(f"agent index {j} out of range")
-            row = rows[j]
             for o in bundle:
                 if not 0 <= o < item_count:
                     raise InputError(f"item index {o} out of range")
-                if o in taken:
+                if holders[o] is not None:
                     raise InputError(f"item column {o} is allocated more than once")
-                taken.add(o)
-                row[o] = 1
-        return cls._from_validated_rows(tuple(tuple(row) for row in rows))
+                holders[o] = j
+        return cls._from_holders(agent_count, tuple(holders))
 
     @classmethod
     def from_matching(
@@ -350,39 +354,49 @@ class DeterministicAssignment:
         return cls.from_bundles(agent_count, item_count, {j: (o,) for j, o in matching.items()})
 
     @property
-    def agent_count(self) -> int:
-        return len(self.rows)
+    def item_count(self) -> int:
+        return len(self.holders)
 
     @property
-    def item_count(self) -> int:
-        return len(self.rows[0])
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The binary n x m matrix, built on request."""
+        return tuple(
+            tuple(int(h == j) for h in self.holders) for j in range(self.agent_count)
+        )
 
     @cached_property
     def bundles(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(o for o, v in enumerate(row) if v) for row in self.rows)
+        held = list(enumerate(self.holders))
+        return tuple(frozenset(o for o, h in held if h == j) for j in range(self.agent_count))
 
-    @cached_property
-    def holders(self) -> tuple[int | None, ...]:
-        """holders[o] is the agent holding item o, or None if unallocated."""
-        out: list[int | None] = [None] * self.item_count
-        for j, row in enumerate(self.rows):
-            for o in compress(range(len(row)), row):
-                out[o] = j
-        return tuple(out)
-
-    @cached_property
+    @property
     def is_complete(self) -> bool:
-        return all(h is not None for h in self.holders)
+        return None not in self.holders
 
-    @cached_property
+    @property
     def is_matching(self) -> bool:
-        return all(sum(row) <= 1 for row in self.rows)
+        held = [j for j in self.holders if j is not None]
+        return len(held) == len(set(held))
 
     def indicator(self, agent: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v) for v in self.rows[agent])
+        return tuple(ONE if j == agent else ZERO for j in self.holders)
 
     def to_random(self) -> "RandomAssignment":
-        return RandomAssignment(tuple(tuple(Fraction(v) for v in row) for row in self.rows))
+        return RandomAssignment(tuple(map(self.indicator, range(self.agent_count))))
+
+
+def row_key(assignment: DeterministicAssignment) -> int:
+    """The 0/1 rows, agent 0's first, read as one binary number, item 0 the most
+    significant bit of each row.  Equal-length 0/1 tuples compare as the numbers
+    they spell, so assignments of one shape order by this key as by `rows`."""
+    holders = assignment.holders
+    m = len(holders)
+    top = assignment.agent_count * m - 1
+    key = 0
+    for o, j in enumerate(holders):
+        if j is not None:
+            key |= 1 << top - j * m - o
+    return key
 
 
 @dataclass(frozen=True)
@@ -443,38 +457,34 @@ class Lottery:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise InputError("a lottery needs at least one atom")
-        total = ZERO
-        seen: set[tuple[tuple[int, ...], ...]] = set()
-        for prob, assignment in self.atoms:
-            if prob <= ZERO:
-                raise InputError("lottery probabilities must be positive")
-            if assignment.rows in seen:
-                raise InputError("lottery atoms must be deduplicated")
-            seen.add(assignment.rows)
-            total += prob
-        if total != ONE:
-            raise InputError(f"lottery probabilities sum to {total}, expected 1")
+        # a reduced Fraction's denominator is positive
+        if any(prob.numerator <= 0 for prob, _ in self.atoms):
+            raise InputError("lottery probabilities must be positive")
+        if len({(a.agent_count, len(a.holders)) for _, a in self.atoms}) > 1:
+            raise InputError("lottery atoms have inconsistent shapes")
+        if len({a.holders for _, a in self.atoms}) < len(self.atoms):
+            raise InputError("lottery atoms must be deduplicated")
+        scale = math.lcm(*{prob.denominator for prob, _ in self.atoms})
+        total = sum(prob.numerator * (scale // prob.denominator) for prob, _ in self.atoms)
+        if total != scale:
+            raise InputError(f"lottery probabilities sum to {Fraction(total, scale)}, expected 1")
 
     @classmethod
     def of(
         cls, pairs: Iterable[tuple[Fraction, DeterministicAssignment]]
     ) -> "Lottery":
-        """Merge duplicate assignments, drop zero-probability atoms, sort canonically."""
-        merged: dict[tuple[tuple[int, ...], ...], tuple[Fraction, DeterministicAssignment]] = {}
+        """Merge duplicate assignments, drop zero-probability atoms, sort by `row_key`."""
+        merged: dict[tuple, tuple[Fraction, DeterministicAssignment]] = {}
         for prob, assignment in pairs:
-            prob = Fraction(prob)
-            if prob == ZERO:
+            if type(prob) is not Fraction:
+                prob = Fraction(prob)
+            if not prob:
                 continue
-            key = assignment.rows
+            key = (assignment.agent_count, assignment.holders)
             if key in merged:
-                merged[key] = (merged[key][0] + prob, assignment)
-            else:
-                merged[key] = (prob, assignment)
-        atoms = tuple(
-            (prob, assignment)
-            for _, (prob, assignment) in sorted(merged.items(), key=lambda kv: kv[0])
-        )
-        return cls(atoms)
+                prob += merged[key][0]
+            merged[key] = (prob, assignment)
+        return cls(tuple(sorted(merged.values(), key=lambda atom: row_key(atom[1]))))
 
     @property
     def atom_count(self) -> int:
@@ -482,15 +492,13 @@ class Lottery:
 
     def expected(self) -> RandomAssignment:
         """The probability-weighted mean matrix of the lottery."""
-        n = self.atoms[0][1].agent_count
-        m = self.atoms[0][1].item_count
-        rows = [[ZERO] * m for _ in range(n)]
+        first = self.atoms[0][1]
+        rows = [[ZERO] * first.item_count for _ in range(first.agent_count)]
         for prob, assignment in self.atoms:
-            for j, row in enumerate(assignment.rows):
-                for o, v in enumerate(row):
-                    if v:
-                        rows[j][o] += prob
-        return RandomAssignment(tuple(tuple(r) for r in rows))
+            for o, j in enumerate(assignment.holders):
+                if j is not None:
+                    rows[j][o] += prob
+        return RandomAssignment(tuple(map(tuple, rows)))
 
     def probability_of(self, assignment: DeterministicAssignment) -> Fraction:
         for prob, atom in self.atoms:
@@ -521,9 +529,11 @@ class RoundDecomposition:
         for stage in self.rounds:
             if stage.agent_count != n or stage.item_count != m:
                 raise InputError("round matrices have inconsistent shapes")
-            # a matching's 0/1 int rows add exactly without `Fraction`
-            add = sum if isinstance(stage, DeterministicAssignment) else share_sum
-            if any(add(row) > 1 for row in stage.rows):
+            if isinstance(stage, DeterministicAssignment):
+                over = not stage.is_matching
+            else:
+                over = any(share_sum(row) > 1 for row in stage.rows)
+            if over:
                 raise InputError("an agent exceeds one unit within a single round")
 
     @property
@@ -562,7 +572,8 @@ def _permute_columns(rows: tuple[tuple, ...], perm: Mapping[int, int]) -> tuple[
 def permute_deterministic(
     assignment: DeterministicAssignment, perm: Mapping[int, int]
 ) -> DeterministicAssignment:
-    return DeterministicAssignment(_permute_columns(assignment.rows, perm))
+    (holders,) = _permute_columns((assignment.holders,), perm)
+    return DeterministicAssignment._from_holders(assignment.agent_count, holders)
 
 
 def permute_random(matrix: RandomAssignment, perm: Mapping[int, int]) -> RandomAssignment:
@@ -627,10 +638,14 @@ def assignment_to_payload(
 def assignment_from_payload(
     instance: Instance, payload: Mapping[str, Sequence[str]]
 ) -> DeterministicAssignment:
+    if not isinstance(payload, dict):
+        raise InputError("an assignment payload must be an object of agent bundles")
     bundles: dict[int, list[int]] = {}
     for name, items in payload.items():
         if name not in instance.agent_index:
             raise InputError(f"unknown agent {name!r} in assignment payload")
+        if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
+            raise InputError(f"the bundle of agent {name!r} must be a list of item names")
         try:
             bundles[instance.agent_index[name]] = [instance.item_index[i] for i in items]
         except KeyError as exc:
@@ -648,6 +663,8 @@ def random_to_payload(instance: Instance, matrix: RandomAssignment) -> list[list
 def random_from_payload(
     instance: Instance, payload: Sequence[Sequence[str]]
 ) -> RandomAssignment:
+    if not isinstance(payload, list) or not all(isinstance(row, list) for row in payload):
+        raise InputError("a random assignment payload must be a list of rows")
     if len(payload) != instance.agent_count:
         raise InputError("random assignment payload has the wrong number of rows")
     rows = []
@@ -666,9 +683,11 @@ def lottery_to_payload(instance: Instance, lottery: Lottery) -> list[dict]:
 
 
 def lottery_from_payload(instance: Instance, payload: Sequence[Mapping]) -> Lottery:
+    if not isinstance(payload, list):
+        raise InputError("lottery atoms must be a list")
     atoms = []
     for entry in payload:
-        if "prob" not in entry or "assignment" not in entry:
+        if not isinstance(entry, dict) or "prob" not in entry or "assignment" not in entry:
             raise InputError('each lottery atom needs "prob" and "assignment"')
         atoms.append(
             (parse_fraction(entry["prob"]), assignment_from_payload(instance, entry["assignment"]))

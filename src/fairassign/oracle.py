@@ -84,10 +84,7 @@ def enumerate_assignments(
                 counts[j] += 1
             if any(c < low or c > high for c in counts):
                 continue
-        rows = [[0] * m for _ in range(n)]
-        for o, j in enumerate(owners):
-            rows[j][o] = 1
-        yield DeterministicAssignment._from_validated_rows(tuple(tuple(row) for row in rows))
+        yield DeterministicAssignment._from_holders(n, owners)
 
 
 def pe_bruteforce(
@@ -99,9 +96,9 @@ def pe_bruteforce(
         raise InputError("Pareto efficiency is checked on complete assignments")
     base = [assignment.indicator(j) for j in range(instance.agent_count)]
     for candidate in enumerate_assignments(instance, cap=cap):
-        changed = [
-            j for j in range(instance.agent_count) if candidate.rows[j] != assignment.rows[j]
-        ]
+        # an agent's bundle changes exactly when an item moves to or from it
+        moves = [pair for pair in zip(candidate.holders, assignment.holders) if pair[0] != pair[1]]
+        changed = {j for pair in moves for j in pair}
         if not changed:
             continue
         if all(

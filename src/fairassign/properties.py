@@ -173,7 +173,10 @@ def _cumulative_gaps(
     """
     if (matrix.agent_count, matrix.item_count) != (instance.agent_count, instance.item_count):
         raise InputError("share matrix shape does not match the instance")
-    _, rows = integer_rows(matrix.rows)
+    # a deterministic assignment's 0/1 rows are integers already
+    rows = matrix.rows
+    if isinstance(matrix, RandomAssignment):
+        _, rows = integer_rows(rows)
     for j, order in enumerate(instance.pref_order):
         own = [rows[j][o] for o in order]
         for k, row in enumerate(rows):

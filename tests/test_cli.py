@@ -278,6 +278,35 @@ def test_check_unknown_property(tmp_path, instance_file):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "doc,props",
+    [
+        ({"kind": "assignment", "assignment": [["a"]]}, "pe"),
+        ({"kind": "assignment", "assignment": {"1": "ab", "2": "cd"}}, "pe"),
+        ({"kind": "assignment", "assignment": {"1": [["a"]], "2": []}}, "fcm"),
+        ({"kind": "assignment", "assignment": {"1": [1], "2": []}}, "sde"),
+        ({"kind": "assignment"}, "pe"),
+        ({"kind": "assignment"}, "sdef"),
+        ({"kind": "random", "matrix": 3}, "sde"),
+        ({"kind": "random", "matrix": [5, 6]}, "sdwef"),
+        ({"kind": "random"}, "sde"),
+        ({"kind": "lottery", "atoms": [{"prob": "1", "assignment": 5}]}, "expost-pe"),
+        ({"kind": "lottery", "atoms": [5]}, "expost-pe"),
+        ({"kind": "lottery", "atoms": {"prob": "1"}}, "expost-fcm"),
+        ({"kind": "lottery"}, "expost-ef1"),
+    ],
+)
+def test_check_rejects_malformed_artifacts(tmp_path, instance_file, capsys, doc, props):
+    # exit 2 (input error) with a message, never a traceback's exit 1
+    artifact = tmp_path / "bad.json"
+    artifact.write_text(json.dumps(doc))
+    assert run_cli(
+        "check", "--instance", str(instance_file), "--input", str(artifact),
+        "--properties", props, "--strict",
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

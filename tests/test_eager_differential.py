@@ -34,6 +34,14 @@ def test_lottery_matches_branch_oracle(instance):
     assert lottery_as_bundles(instance, lottery) == enumerate_distribution(instance)
 
 
+@settings(max_examples=150, deadline=None)
+@given(profiles(max_agents=4, max_items=7))
+def test_lottery_atoms_come_sorted_by_rows(instance):
+    # atom order is part of the CLI artifacts; the oracle above ignores it
+    rows = [assignment.rows for _, assignment in fa.gebm_lottery(instance).atoms]
+    assert rows == sorted(rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(profiles(max_agents=6, max_items=13), st.integers(0, 2**64 - 1))
 def test_sample_matches_reference_sampler(instance, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from fairassign.model import (
     permute_instance,
     permute_lottery,
     permute_random,
+    row_key,
 )
 
 F = Fraction
@@ -230,6 +232,115 @@ def test_round_decomposition_rejects_an_over_one_unit_row_of_either_stage_type()
     over = fa.RandomAssignment(((F(0), F(0), F(2, 3), F(1, 2)), (F(0), F(0), F(1, 3), F(1, 2))))
     with pytest.raises(InputError, match=unit):
         RoundDecomposition((half, over))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ((), "assignment needs at least one agent row"),
+        (((1, 0), (0,)), "assignment rows have inconsistent lengths"),
+        (((2, 0), (0, 1)), "assignment entries must be 0 or 1"),
+        (((0, 1), (0, 1)), "item column 1 is allocated more than once"),
+    ],
+)
+def test_assignment_constructor_messages(rows, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        fa.DeterministicAssignment(rows)
+
+
+@st.composite
+def holders_lists(draw, agent_count, item_count, complete=False):
+    agents = st.integers(0, agent_count - 1)
+    holder = agents if complete else st.one_of(st.none(), agents)
+    return draw(st.lists(holder, min_size=item_count, max_size=item_count))
+
+
+def _rows(agent_count, holders):
+    return tuple(tuple(int(h == j) for h in holders) for j in range(agent_count))
+
+
+def _every_construction(agent_count, holders):
+    """The same assignment through every public and trusted factory that can build it."""
+    m = len(holders)
+    bundles = {}
+    for o, j in enumerate(holders):
+        if j is not None:
+            bundles.setdefault(j, []).append(o)
+    built = [
+        fa.DeterministicAssignment(_rows(agent_count, holders)),
+        fa.DeterministicAssignment.from_bundles(agent_count, m, bundles),
+        fa.DeterministicAssignment._from_holders(agent_count, tuple(holders)),
+    ]
+    if all(len(b) == 1 for b in bundles.values()):
+        matching = {j: b[0] for j, b in bundles.items()}
+        built.append(fa.DeterministicAssignment.from_matching(agent_count, m, matching))
+    if not bundles:
+        built.append(fa.DeterministicAssignment.zero(agent_count, m))
+    return built
+
+
+@given(st.data())
+def test_assignment_equality_and_hash_follow_rows(data):
+    shape = st.tuples(st.integers(1, 4), st.integers(0, 5))
+    n1, m1 = data.draw(shape)
+    n2, m2 = data.draw(st.one_of(st.just((n1, m1)), shape))
+    h1 = data.draw(holders_lists(n1, m1))
+    candidates = [holders_lists(n2, m2)]
+    if (n2, m2) == (n1, m1):
+        candidates.append(st.just(h1))
+    h2 = data.draw(st.one_of(candidates))
+    first, second = _every_construction(n1, h1), _every_construction(n2, h2)
+    same = _rows(n1, h1) == _rows(n2, h2)
+    for a in first:
+        assert a.rows == _rows(n1, h1) and a.holders == tuple(h1)
+        for b in second:
+            assert (a == b) is same
+            if same:
+                assert hash(a) == hash(b)
+
+
+def test_assignment_is_frozen():
+    a = fa.DeterministicAssignment(((1, 0), (0, 1)))
+    for name, value in (("holders", (1, 0)), ("agent_count", 3), ("rows", ((0, 1), (1, 0)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, value)
+    assert a.holders == (0, 1) and a.rows == ((1, 0), (0, 1))
+
+
+def test_lottery_constructor_messages():
+    a = fa.DeterministicAssignment.from_bundles(2, 2, {0: [0], 1: [1]})
+    b = fa.DeterministicAssignment.from_bundles(2, 2, {0: [1], 1: [0]})
+    cases = [
+        ((), "a lottery needs at least one atom"),
+        (((F(0), a), (F(1), b)), "lottery probabilities must be positive"),
+        (((F(-1, 2), a), (F(3, 2), b)), "lottery probabilities must be positive"),
+        (((F(1, 2), a), (F(1, 2), a)), "lottery atoms must be deduplicated"),
+        (((F(1, 2), a), (F(1, 3), b)), "lottery probabilities sum to 5/6, expected 1"),
+        (((F(1, 2), a), (F(3, 4), b)), "lottery probabilities sum to 5/4, expected 1"),
+    ]
+    for atoms, message in cases:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            fa.Lottery(atoms)
+    with pytest.raises(InputError, match="sum to 5/6"):
+        fa.Lottery.of([(F(1, 2), a), (F(1, 3), b)])
+    wider = fa.DeterministicAssignment.from_bundles(3, 2, {0: [0], 1: [1]})
+    with pytest.raises(InputError, match="inconsistent shapes"):
+        fa.Lottery.of([(F(1, 2), a), (F(1, 2), wider)])
+
+
+@given(st.data())
+def test_row_key_orders_like_rows(data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 12))
+    complete = data.draw(st.booleans())
+    assignments = [
+        fa.DeterministicAssignment._from_holders(n, tuple(h))
+        for h in data.draw(st.lists(holders_lists(n, m, complete), min_size=1, max_size=20))
+    ]
+    by_key = sorted(assignments, key=row_key)
+    by_rows = sorted(assignments, key=lambda a: a.rows)
+    assert [a.rows for a in by_key] == [a.rows for a in by_rows]
+    assert len({row_key(a) for a in assignments}) == len({a.rows for a in assignments})
 
 
 # ---------------------------------------------------------------------------
