@@ -33,20 +33,6 @@ from .model import (
     serialize_instance,
 )
 
-CHECKABLE_PROPERTIES = (
-    "pe",
-    "sde",
-    "fcm",
-    "ef1",
-    "sdwef",
-    "sdef",
-    "fhr",
-    "feri",
-    "expost-pe",
-    "expost-fcm",
-    "expost-ef1",
-)
-
 EXPERIMENT_CSV_COLUMNS = (
     "mechanism",
     "n",
@@ -94,16 +80,30 @@ def _load_artifact(path: str) -> dict:
 # gen
 
 
+def _one_of(names) -> str:
+    *rest, last = names
+    return f"{', '.join(rest)} or {last}"
+
+
+def _shuffled_orders(count: int, length: int, seed: int) -> list[list[int]]:
+    """`count` orders of range(length), shuffled in turn by one seeded source."""
+    rng = mechanisms.ModularRng(seed)
+    orders = []
+    for _ in range(count):
+        order = list(range(length))
+        rng.shuffle(order)
+        orders.append(order)
+    return orders
+
+
+def _impartial_culture(agents: int, items: int, seed: int) -> Instance:
+    return oracle.instance_from_orders(_shuffled_orders(agents, items, seed), items)
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.agents < 1 or args.items < 1:
         raise InputError("need at least one agent and one item")
-    rng = mechanisms.ModularRng(args.seed)
-    orders = []
-    for _ in range(args.agents):
-        order = list(range(args.items))
-        rng.shuffle(order)
-        orders.append(order)
-    instance = oracle.instance_from_orders(orders, args.items)
+    instance = _impartial_culture(args.agents, args.items, args.seed)
     _write_text(args.out, serialize_instance(instance))
     return 0
 
@@ -112,40 +112,40 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # run
 
 
-def _run_gebm(instance: Instance, args: argparse.Namespace) -> dict:
-    if args.mode == "sample":
-        outcome = mechanisms.gebm_sample(instance, args.seed)
-        return {
-            "kind": "assignment",
-            "mechanism": "gebm",
-            "mode": "sample",
-            "seed": args.seed,
-            "assignment": assignment_to_payload(instance, outcome.total),
-            "rounds": [
-                assignment_to_payload(instance, stage) for stage in outcome.per_round.rounds
-            ],
-            "round_items": [
-                sorted(instance.items[o] for o in remaining)
-                for remaining in outcome.remaining_items_per_round
-            ],
-        }
-    if args.mode == "expected":
-        matrix = mechanisms.gebm_expected(instance)
-        return {
-            "kind": "random",
-            "mechanism": "gebm",
-            "mode": "expected",
-            "matrix": random_to_payload(instance, matrix),
-        }
-    if args.mode == "lottery":
-        lottery = mechanisms.gebm_lottery(instance, args.max_branch)
-        return {
-            "kind": "lottery",
-            "mechanism": "gebm",
-            "mode": "lottery",
-            "atoms": lottery_to_payload(instance, lottery),
-        }
-    raise InputError(f"unknown gebm mode {args.mode!r} (use sample, expected or lottery)")
+def _run_gebm_sample(instance: Instance, args: argparse.Namespace) -> tuple[str, dict]:
+    outcome = mechanisms.gebm_sample(instance, args.seed)
+    return "assignment", {
+        "seed": args.seed,
+        "assignment": assignment_to_payload(instance, outcome.total),
+        "rounds": [assignment_to_payload(instance, stage) for stage in outcome.per_round.rounds],
+        "round_items": [
+            sorted(instance.items[o] for o in remaining)
+            for remaining in outcome.remaining_items_per_round
+        ],
+    }
+
+
+def _run_gpbm_fractional(instance: Instance, args: argparse.Namespace) -> tuple[str, dict]:
+    outcome = mechanisms.gpbm(instance, keep_trace=False)
+    return "random", {
+        "matrix": random_to_payload(instance, outcome.total),
+        "rounds": [random_to_payload(instance, stage) for stage in outcome.per_round.rounds],
+    }
+
+
+def _run_rsdq_sample(instance: Instance, args: argparse.Namespace) -> tuple[str, dict]:
+    if args.order:
+        names = [name.strip() for name in args.order.split(",")]
+        try:
+            order = [instance.agent_index[name] for name in names]
+        except KeyError as exc:
+            raise InputError(f"unknown agent {exc.args[0]!r} in --order") from exc
+    else:
+        order = _shuffled_orders(1, instance.agent_count, args.seed)[0]
+    return "assignment", {
+        "priority_order": [instance.agents[j].name for j in order],
+        "assignment": assignment_to_payload(instance, mechanisms.rsdq(instance, order, args.quota)),
+    }
 
 
 def _decomposed_payload(instance: Instance, decomposed) -> list[dict]:
@@ -166,69 +166,48 @@ def _decomposed_payload(instance: Instance, decomposed) -> list[dict]:
     return atoms
 
 
-def _run_gpbm(instance: Instance, args: argparse.Namespace) -> dict:
-    if args.mode == "fractional":
-        outcome = mechanisms.gpbm(instance, keep_trace=False)
-        return {
-            "kind": "random",
-            "mechanism": "gpbm",
-            "mode": "fractional",
-            "matrix": random_to_payload(instance, outcome.total),
-            "rounds": [
-                random_to_payload(instance, stage) for stage in outcome.per_round.rounds
-            ],
-        }
-    if args.mode == "lottery":
-        _, decomposed = decomposition.gpbm_lottery(instance)
-        return {
-            "kind": "decomposed_lottery",
-            "mechanism": "gpbm",
-            "mode": "lottery",
-            "atoms": _decomposed_payload(instance, decomposed),
-        }
-    raise InputError(f"unknown gpbm mode {args.mode!r} (use fractional or lottery)")
-
-
-def _run_rsdq(instance: Instance, args: argparse.Namespace) -> dict:
-    if args.mode == "lottery":
-        lottery = mechanisms.rsdq_lottery(instance, args.quota)
-        return {
-            "kind": "lottery",
-            "mechanism": "rsdq",
-            "mode": "lottery",
-            "atoms": lottery_to_payload(instance, lottery),
-        }
-    if args.mode == "sample":
-        if args.order:
-            names = [name.strip() for name in args.order.split(",")]
-            try:
-                order = [instance.agent_index[name] for name in names]
-            except KeyError as exc:
-                raise InputError(f"unknown agent {exc.args[0]!r} in --order") from exc
-        else:
-            order = list(range(instance.agent_count))
-            mechanisms.ModularRng(args.seed).shuffle(order)
-        assignment = mechanisms.rsdq(instance, order, args.quota)
-        return {
-            "kind": "assignment",
-            "mechanism": "rsdq",
-            "mode": "sample",
-            "priority_order": [instance.agents[j].name for j in order],
-            "assignment": assignment_to_payload(instance, assignment),
-        }
-    raise InputError(f"unknown rsdq mode {args.mode!r} (use sample or lottery)")
+# mechanism -> mode -> builder(instance, args) returning (artifact kind, fields).
+# Entries look library functions up when called, so that wrappers installed on
+# the modules (a tracer, a test's counter) see every call.
+RUN_MODES = {
+    "gebm": {
+        "sample": _run_gebm_sample,
+        "expected": lambda instance, args: (
+            "random", {"matrix": random_to_payload(instance, mechanisms.gebm_expected(instance))}
+        ),
+        "lottery": lambda instance, args: (
+            "lottery",
+            {"atoms": lottery_to_payload(
+                instance, mechanisms.gebm_lottery(instance, args.max_branch)
+            )},
+        ),
+    },
+    "gpbm": {
+        "fractional": _run_gpbm_fractional,
+        "lottery": lambda instance, args: (
+            "decomposed_lottery",
+            {"atoms": _decomposed_payload(instance, decomposition.gpbm_lottery(instance)[1])},
+        ),
+    },
+    "rsdq": {
+        "sample": _run_rsdq_sample,
+        "lottery": lambda instance, args: (
+            "lottery",
+            {"atoms": lottery_to_payload(instance, mechanisms.rsdq_lottery(instance, args.quota))},
+        ),
+    },
+}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    if args.mechanism == "gebm":
-        doc = _run_gebm(instance, args)
-    elif args.mechanism == "gpbm":
-        doc = _run_gpbm(instance, args)
-    elif args.mechanism == "rsdq":
-        doc = _run_rsdq(instance, args)
-    else:
-        raise InputError(f"unknown mechanism {args.mechanism!r} (use gebm, gpbm or rsdq)")
+    modes = RUN_MODES.get(args.mechanism)
+    if modes is None:
+        raise InputError(f"unknown mechanism {args.mechanism!r} (use {_one_of(RUN_MODES)})")
+    if args.mode not in modes:
+        raise InputError(f"unknown {args.mechanism} mode {args.mode!r} (use {_one_of(modes)})")
+    kind, fields = modes[args.mode](instance, args)
+    doc = {"kind": kind, "mechanism": args.mechanism, "mode": args.mode, **fields}
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -237,49 +216,35 @@ def cmd_run(args: argparse.Namespace) -> int:
 # check
 
 
-def _check_one(
-    instance: Instance, prop: str, doc: dict
-) -> properties.PropertyReport:
-    kind = doc["kind"]
-
-    def need(*kinds: str) -> None:
-        if kind not in kinds:
-            raise InputError(
-                f"property {prop!r} cannot be checked on a {kind!r} artifact"
-            )
-
-    if prop in ("pe", "fcm", "ef1", "fhr", "feri"):
-        need("assignment")
-        assignment = assignment_from_payload(instance, doc.get("assignment"))
-        if prop in properties._DETERMINISTIC_CHECKERS:
-            return properties._DETERMINISTIC_CHECKERS[prop](instance, assignment)
-        if prop == "fhr":
-            return properties.check_fhr(instance, assignment)
-        if "rounds" not in doc:
-            return properties.check_feri(instance, assignment, range(instance.item_count))
-        return _check_feri_by_round(instance, doc)
-    if prop in ("sde", "sdwef", "sdef"):
-        need("random", "assignment")
-        if kind == "random":
-            matrix = random_from_payload(instance, doc.get("matrix"))
-        else:
-            matrix = assignment_from_payload(instance, doc.get("assignment")).to_random()
-        if prop == "sde":
-            return properties.check_sde_acyclic(instance, matrix)
-        if prop == "sdwef":
-            return properties.check_sd_wef(instance, matrix)
-        return properties.check_sd_ef(instance, matrix)
-    if prop.startswith("expost-"):
-        need("lottery", "decomposed_lottery")
-        lottery = lottery_from_payload(instance, doc.get("atoms"))
-        inner = prop.removeprefix("expost-")
-        return properties.check_lottery_expost(instance, lottery, [inner])[inner]
-    raise InputError(f"unknown property {prop!r}")
+def _assignment(instance: Instance, doc: dict) -> DeterministicAssignment:
+    return assignment_from_payload(instance, doc.get("assignment"))
 
 
-def _check_feri_by_round(instance: Instance, doc: dict) -> properties.PropertyReport:
-    """feri on each round's matching over the items left at the round's start;
-    a failing report names the round (1-based)."""
+def _matrix(instance: Instance, doc: dict):
+    if doc["kind"] == "random":
+        return random_from_payload(instance, doc.get("matrix"))
+    return _assignment(instance, doc).to_random()
+
+
+def _deterministic(prop: str):
+    return lambda instance, doc: properties._DETERMINISTIC_CHECKERS[prop](
+        instance, _assignment(instance, doc)
+    )
+
+
+def _expost(prop: str):
+    return lambda instance, doc: properties.check_lottery_expost(
+        instance, lottery_from_payload(instance, doc.get("atoms")), [prop]
+    )[prop]
+
+
+def _check_feri(instance: Instance, doc: dict) -> properties.PropertyReport:
+    """feri on the whole assignment or, when the artifact has rounds, on each
+    round's matching over the items left at the round's start; a failing
+    report names the round (1-based)."""
+    assignment = _assignment(instance, doc)
+    if "rounds" not in doc:
+        return properties.check_feri(instance, assignment, range(instance.item_count))
     rounds, round_items = doc["rounds"], doc.get("round_items")
     lists = isinstance(rounds, list) and isinstance(round_items, list)
     if not lists or len(rounds) != len(round_items):
@@ -295,6 +260,27 @@ def _check_feri_by_round(instance: Instance, doc: dict) -> properties.PropertyRe
     return properties.PropertyReport("feri", True)
 
 
+_MATRIX_KINDS = ("random", "assignment")
+
+# property -> (artifact kinds it can be checked on, check(instance, artifact))
+CHECKS = {
+    "pe": (("assignment",), _deterministic("pe")),
+    "sde": (
+        _MATRIX_KINDS, lambda inst, doc: properties.check_sde_acyclic(inst, _matrix(inst, doc))
+    ),
+    "fcm": (("assignment",), _deterministic("fcm")),
+    "ef1": (("assignment",), _deterministic("ef1")),
+    "sdwef": (_MATRIX_KINDS, lambda inst, doc: properties.check_sd_wef(inst, _matrix(inst, doc))),
+    "sdef": (_MATRIX_KINDS, lambda inst, doc: properties.check_sd_ef(inst, _matrix(inst, doc))),
+    "fhr": (("assignment",), lambda inst, doc: properties.check_fhr(inst, _assignment(inst, doc))),
+    "feri": (("assignment",), _check_feri),
+    **{
+        f"expost-{prop}": (("lottery", "decomposed_lottery"), _expost(prop))
+        for prop in properties._DETERMINISTIC_CHECKERS
+    },
+}
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     doc = _load_artifact(args.input)
@@ -302,9 +288,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not requested:
         raise InputError("no properties requested")
     for prop in requested:
-        if prop not in CHECKABLE_PROPERTIES:
+        if prop not in CHECKS:
             raise InputError(f"unknown property {prop!r}")
-    reports = [_check_one(instance, prop, doc) for prop in requested]
+    reports = []
+    for prop in requested:
+        kinds, check = CHECKS[prop]
+        if doc["kind"] not in kinds:
+            raise InputError(f"property {prop!r} cannot be checked on a {doc['kind']!r} artifact")
+        reports.append(check(instance, doc))
     for report in reports:
         status = "ok" if report.verdict else "VIOLATED"
         print(f"{report.name}: {status}")
@@ -393,43 +384,39 @@ def cmd_audit(args: argparse.Namespace) -> int:
         print("equal" if all_equal else "UNEQUAL")
         _write_text(args.out, json.dumps(results, indent=2) + "\n")
         return 0
-    if args.what == "remark1":
-        found = oracle.remark1_search(args.max, args.max, max_profiles=args.max_enum)
-        if found is None:
-            print("no witness")
-            _write_text(args.out, json.dumps({"witness": None}, indent=2) + "\n")
-            return 0
-        instance, prop = found
-        print(f"witness profile found; expected output fails {prop}")
-        _write_text(
-            args.out,
-            json.dumps(
-                {"witness": {"profile": serialize_instance(instance), "fails": prop}},
-                indent=2,
-            )
-            + "\n",
-        )
+    # remark1: the parser's choices admit no other audit
+    found = oracle.remark1_search(args.max, args.max, max_profiles=args.max_enum)
+    if found is None:
+        print("no witness")
+        _write_text(args.out, json.dumps({"witness": None}, indent=2) + "\n")
         return 0
-    raise InputError(f"unknown audit {args.what!r} (use sp, neutrality or remark1)")
+    instance, prop = found
+    print(f"witness profile found; expected output fails {prop}")
+    _write_text(
+        args.out,
+        json.dumps(
+            {"witness": {"profile": serialize_instance(instance), "fails": prop}},
+            indent=2,
+        )
+        + "\n",
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
 
-def _experiment_trial(
-    mechanism: str, instance: Instance, seed: int
-) -> DeterministicAssignment:
-    if mechanism == "gebm":
-        return mechanisms.gebm_sample(instance, seed).total
-    if mechanism == "gpbm":
-        _, decomposed = decomposition.gpbm_lottery(instance)
-        return decomposition.sample_realization(decomposed, seed).assignment
-    if mechanism == "rsdq":
-        order = list(range(instance.agent_count))
-        mechanisms.ModularRng(seed).shuffle(order)
-        return mechanisms.rsdq(instance, order)
-    raise InputError(f"unknown mechanism {mechanism!r}")
+# mechanism -> trial(instance, seed) returning one realized assignment
+EXPERIMENT_TRIALS = {
+    "gebm": lambda instance, seed: mechanisms.gebm_sample(instance, seed).total,
+    "gpbm": lambda instance, seed: decomposition.sample_realization(
+        decomposition.gpbm_lottery(instance)[1], seed
+    ).assignment,
+    "rsdq": lambda instance, seed: mechanisms.rsdq(
+        instance, _shuffled_orders(1, instance.agent_count, seed)[0]
+    ),
+}
 
 
 def run_experiment(config: dict) -> list[dict]:
@@ -449,9 +436,11 @@ def run_experiment(config: dict) -> list[dict]:
     if (
         not isinstance(mechanisms_list, list)
         or not mechanisms_list
-        or not all(m in ("gebm", "gpbm", "rsdq") for m in mechanisms_list)
+        or not all(isinstance(m, str) and m in EXPERIMENT_TRIALS for m in mechanisms_list)
     ):
-        raise InputError('config "mechanisms" must be a nonempty list over gebm/gpbm/rsdq')
+        raise InputError(
+            f'config "mechanisms" must be a nonempty list over {"/".join(EXPERIMENT_TRIALS)}'
+        )
     # JSON booleans are Python ints; `type(...) is int` keeps them out
     if not isinstance(sizes, list) or not all(
         isinstance(cell, list)
@@ -481,14 +470,8 @@ def run_experiment(config: dict) -> list[dict]:
             violations = {prop: 0 for prop in props}
             for trial in range(trials):
                 sub_seed = seed * 1_000_003 + cell_index * 10_007 + trial
-                rng = mechanisms.ModularRng(sub_seed)
-                orders = []
-                for _ in range(n):
-                    order = list(range(m))
-                    rng.shuffle(order)
-                    orders.append(order)
-                instance = oracle.instance_from_orders(orders, m)
-                assignment = _experiment_trial(mechanism, instance, sub_seed + 1)
+                instance = _impartial_culture(n, m, sub_seed)
+                assignment = EXPERIMENT_TRIALS[mechanism](instance, sub_seed + 1)
                 first_choice_total += Fraction(properties.fcm_count(instance, assignment), n)
                 for j in range(n):
                     for o in assignment.bundles[j]:

@@ -20,7 +20,6 @@ from .model import (
     DeterministicAssignment,
     InputError,
     Instance,
-    RandomAssignment,
     SizeLimitError,
     format_fraction,
     lex_dominates,
@@ -145,8 +144,9 @@ class SpWitness:
 
     def replay(self) -> bool:
         """Recompute both mechanism runs and confirm both rows bit-exactly."""
-        truthful = _expected_matrix(self.mechanism, self.instance)
-        manipulated = _expected_matrix(self.mechanism, self.misreport_instance())
+        expected = _exact(self.mechanism)[0]
+        truthful = expected(self.instance)
+        manipulated = expected(self.misreport_instance())
         return (
             truthful.row(self.agent) == self.truthful_row
             and manipulated.row(self.agent) == self.manipulated_row
@@ -183,12 +183,27 @@ class SpWitness:
         }
 
 
-def _expected_matrix(mechanism: str, instance: Instance) -> RandomAssignment:
-    if mechanism == "gebm":
-        return gebm_expected(instance)
-    if mechanism == "gpbm":
-        return gpbm(instance, keep_trace=False).total
-    raise InputError(f"unknown exact mechanism {mechanism!r}")
+# mechanism -> (expected matrix(instance), exact output(instance, branch cap),
+# relabel(output, item permutation)).  Entries look the mechanisms up when
+# called, so that wrappers installed on this module see every call.
+EXACT_MECHANISMS = {
+    "gebm": (
+        lambda instance: gebm_expected(instance),
+        lambda instance, cap: gebm_lottery(instance, cap),
+        lambda lottery, permutation: permute_lottery(lottery, permutation),
+    ),
+    "gpbm": (
+        lambda instance: gpbm(instance, keep_trace=False).total,
+        lambda instance, cap: gpbm(instance, keep_trace=False).total,
+        lambda matrix, permutation: permute_random(matrix, permutation),
+    ),
+}
+
+
+def _exact(mechanism: str) -> tuple:
+    if not isinstance(mechanism, str) or mechanism not in EXACT_MECHANISMS:
+        raise InputError(f"unknown exact mechanism {mechanism!r}")
+    return EXACT_MECHANISMS[mechanism]
 
 
 def sd_wsp_audit(
@@ -206,14 +221,15 @@ def sd_wsp_audit(
         raise SizeLimitError(
             f"misreport audit over {m}! orders per agent exceeds max_items={max_items}"
         )
-    truthful = _expected_matrix(mechanism, instance)
+    expected = _exact(mechanism)[0]
+    truthful = expected(instance)
     for agent in range(instance.agent_count):
         true_order = instance.pref_order[agent]
         truthful_row = truthful.row(agent)
         for reported in itertools.permutations(range(m)):
             if reported == true_order:
                 continue
-            manipulated = _expected_matrix(mechanism, instance.with_agent_order(agent, reported))
+            manipulated = expected(instance.with_agent_order(agent, reported))
             row = manipulated.row(agent)
             if row != truthful_row and sd_dominates(true_order, row, truthful_row):
                 return SpWitness(
@@ -238,17 +254,9 @@ def neutrality_audit(
     lotteries for the eager Boston mechanism.
     """
     relabelled = permute_instance(instance, permutation)
-    if mechanism == "gebm":
-        lhs = gebm_lottery(relabelled, max_branches)
-        rhs = permute_lottery(gebm_lottery(instance, max_branches), permutation)
-        equal = lhs == rhs
-    elif mechanism == "gpbm":
-        lhs_matrix = gpbm(relabelled, keep_trace=False).total
-        rhs_matrix = permute_random(gpbm(instance, keep_trace=False).total, permutation)
-        equal = lhs_matrix == rhs_matrix
-    else:
-        raise InputError(f"unknown exact mechanism {mechanism!r}")
-    if equal:
+    _, output, relabel = _exact(mechanism)
+    lhs = output(relabelled, max_branches)
+    if lhs == relabel(output(instance, max_branches), permutation):
         return PropertyReport("neutrality", True)
     return PropertyReport(
         "neutrality",
@@ -259,6 +267,13 @@ def neutrality_audit(
 
 # ---------------------------------------------------------------------------
 # Counterexample search for the exact eager mechanism
+
+
+# searchable property -> check(instance, expected matrix), in test order
+REMARK1_CHECKS = {
+    "sde": lambda instance, expected: check_sde_acyclic(instance, expected),
+    "sdef": lambda instance, expected: check_sd_ef(instance, expected),
+}
 
 
 def remark1_search(
@@ -273,8 +288,10 @@ def remark1_search(
     Profiles with n = bound_n agents over m = bound_m items are enumerated in
     lexicographic order.
     """
+    if bound_n < 1 or bound_m < 1:
+        raise InputError(f"profile search bounds must be at least 1 (got {bound_n}, {bound_m})")
     for prop in properties:
-        if prop not in ("sde", "sdef"):
+        if not isinstance(prop, str) or prop not in REMARK1_CHECKS:
             raise InputError(f"unknown searchable property {prop!r}")
     total = math.factorial(bound_m) ** bound_n
     if total > max_profiles:
@@ -285,8 +302,7 @@ def remark1_search(
     for profile in itertools.product(orders, repeat=bound_n):
         instance = instance_from_orders(profile, bound_m)
         expected = gebm_expected(instance)
-        if "sde" in properties and not check_sde_acyclic(instance, expected).verdict:
-            return instance, "sde"
-        if "sdef" in properties and not check_sd_ef(instance, expected).verdict:
-            return instance, "sdef"
+        for prop, check in REMARK1_CHECKS.items():
+            if prop in properties and not check(instance, expected).verdict:
+                return instance, prop
     return None

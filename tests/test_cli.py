@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -102,11 +103,22 @@ def test_run_dictatorship_with_order(tmp_path, identical):
     assert doc["assignment"] == {"1": ["a", "b"], "2": ["c", "d"]}
 
 
-def test_run_unknown_mechanism(tmp_path, instance_file):
-    assert run_cli(
-        "run", "--instance", str(instance_file), "--mechanism", "boston",
-        "--out", str(tmp_path / "x"),
-    ) == 2
+def test_run_unknown_mechanism(tmp_path, instance_file, capsys):
+    inst = str(instance_file)
+    cases = [
+        (["run", "--mechanism", "boston"], "unknown mechanism 'boston' (use gebm, gpbm or rsdq)"),
+        (["run", "--mechanism", "gebm", "--mode", "fractional"],
+         "unknown gebm mode 'fractional' (use sample, expected or lottery)"),
+        (["run", "--mechanism", "gpbm", "--mode", "sample"],
+         "unknown gpbm mode 'sample' (use fractional or lottery)"),
+        (["run", "--mechanism", "rsdq", "--mode", "expected"],
+         "unknown rsdq mode 'expected' (use sample or lottery)"),
+        (["audit", "sp", "--mechanism", "rsdq"], "unknown exact mechanism 'rsdq'"),
+        (["audit", "neutrality", "--mechanism", "rsdq"], "unknown exact mechanism 'rsdq'"),
+    ]
+    for argv, message in cases:
+        assert run_cli(*argv, "--instance", inst, "--out", str(tmp_path / "x")) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_run_branch_cap(tmp_path, instance_file):
@@ -169,7 +181,7 @@ def test_check_assignment_properties(tmp_path, instance_file, two_agent):
     assert code == 0
 
 
-def test_check_type_mismatch(tmp_path, instance_file):
+def test_check_type_mismatch(tmp_path, instance_file, capsys):
     artifact = tmp_path / "lot.json"
     assert run_cli(
         "run", "--instance", str(instance_file), "--mechanism", "gebm",
@@ -179,6 +191,7 @@ def test_check_type_mismatch(tmp_path, instance_file):
         "check", "--instance", str(instance_file), "--input", str(artifact),
         "--properties", "sde",
     ) == 2
+    assert "property 'sde' cannot be checked on a 'lottery' artifact" in capsys.readouterr().err
 
 
 def test_check_expost_on_lottery(tmp_path, instance_file):
@@ -378,6 +391,12 @@ def test_audit_remark1_small(tmp_path, capsys):
     assert "no witness" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_audit_remark1_rejects_bound_below_one(bound, capsys):
+    assert run_cli("audit", "remark1", "--max", bound) == 2
+    assert "profile search bounds must be at least 1" in capsys.readouterr().err
+
+
 def test_audit_remark1_default(tmp_path):
     out = tmp_path / "r1.json"
     assert run_cli("audit", "remark1", "--max", "3", "--out", str(out)) == 0
@@ -441,6 +460,8 @@ def test_experiment_invalid_config(tmp_path, capsys):
         ({"properties": [["pe"]]}, "unknown experiment property ['pe']"),
         ([], "config must be a JSON object"),
         ({"out": 99999}, '"out" must be a file path'),
+        ({"mechanisms": [["gebm"]]}, "must be a nonempty list over gebm/gpbm/rsdq"),
+        ({"mechanisms": ["boston"]}, "must be a nonempty list over gebm/gpbm/rsdq"),
     ]
     cfg = tmp_path / "bad.json"
     for config, message in cases:
@@ -483,3 +504,47 @@ def test_experiment_single_trial(tmp_path):
     assert run_cli("experiment", "--config", str(cfg)) == 0
     lines = (tmp_path / "one.csv").read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# dispatch tables
+
+
+def test_dispatch_tables_look_functions_up_when_called(
+    tmp_path, instance_file, two_agent, monkeypatch
+):
+    # a wrapper installed on a module attribute (as a tracer does) sees every
+    # call that the run/check/experiment/oracle tables dispatch
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(fa.oracle, "gebm_expected")
+    count(fa.properties, "check_sde_acyclic")
+    count(fa.mechanisms, "gebm_sample")
+
+    fa.oracle.sd_wsp_audit("gebm", two_agent)
+    assert calls["gebm_expected"] > 0
+
+    artifact = tmp_path / "expected.json"
+    assert run_cli(
+        "run", "--instance", str(instance_file), "--mechanism", "gebm",
+        "--mode", "expected", "--out", str(artifact),
+    ) == 0
+    assert run_cli(
+        "check", "--instance", str(instance_file), "--input", str(artifact),
+        "--properties", "sde",
+    ) == 0
+    assert calls["check_sde_acyclic"] == 1
+
+    from fairassign.cli import run_experiment
+
+    run_experiment({"mechanisms": ["gebm"], "sizes": [[2, 3]], "trials": 2})
+    assert calls["gebm_sample"] == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fairassign as fa
-from fairassign.model import SizeLimitError
+from fairassign.model import InputError, SizeLimitError
 from fairassign.oracle import (
     default_item_names,
     enumerate_assignments,
@@ -209,6 +209,14 @@ def test_search_two_agent_three_item_efficiency_failure():
 
 def test_search_trivial_bound():
     assert remark1_search(1, 1) is None
+
+
+@pytest.mark.parametrize("bounds", [(-1, -1), (0, 3), (3, 0)])
+def test_search_rejects_bound_below_one(bounds, monkeypatch):
+    # the bounds fail before any profile is built
+    monkeypatch.setattr(fa.oracle, "instance_from_orders", None)
+    with pytest.raises(InputError, match="bounds must be at least 1"):
+        remark1_search(*bounds)
 
 
 def test_search_profile_cap():
