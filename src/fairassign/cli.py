@@ -56,6 +56,11 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _write_json(path: str | None, doc) -> None:
+    """Write a JSON artifact: two-space indent and a trailing newline."""
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
 def _load_instance(path: str) -> Instance:
     try:
         text = Path(path).read_text()
@@ -208,7 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise InputError(f"unknown {args.mechanism} mode {args.mode!r} (use {_one_of(modes)})")
     kind, fields = modes[args.mode](instance, args)
     doc = {"kind": kind, "mechanism": args.mechanism, "mode": args.mode, **fields}
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 
@@ -300,9 +305,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         status = "ok" if report.verdict else "VIOLATED"
         print(f"{report.name}: {status}")
     if args.out:
-        _write_text(
-            args.out, json.dumps([r.to_payload() for r in reports], indent=2) + "\n"
-        )
+        _write_json(args.out, [r.to_payload() for r in reports])
     if args.strict and any(not r.verdict for r in reports):
         return 1
     return 0
@@ -320,7 +323,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "mechanism": "gpbm",
         "atoms": _decomposed_payload(instance, decomposed),
     }
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 
@@ -350,15 +353,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
         witness = oracle.sd_wsp_audit(args.mechanism, instance, max_items=args.max_items)
         if witness is None:
             print("no witness")
-            _write_text(args.out, json.dumps({"witness": None}, indent=2) + "\n")
+            _write_json(args.out, {"witness": None})
             return 0
         print(
             f"witness: agent {instance.agents[witness.agent].name} misreports "
             f"{' > '.join(instance.items[o] for o in witness.misreport)}"
         )
-        _write_text(
-            args.out, json.dumps({"witness": witness.to_payload()}, indent=2) + "\n"
-        )
+        _write_json(args.out, {"witness": witness.to_payload()})
         if not witness.replay():
             print("reproducibility self-check FAILED", file=sys.stderr)
             return 1
@@ -382,24 +383,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
             all_equal = all_equal and report.verdict
             results.append(report.to_payload())
         print("equal" if all_equal else "UNEQUAL")
-        _write_text(args.out, json.dumps(results, indent=2) + "\n")
+        _write_json(args.out, results)
         return 0
     # remark1: the parser's choices admit no other audit
     found = oracle.remark1_search(args.max, args.max, max_profiles=args.max_enum)
     if found is None:
         print("no witness")
-        _write_text(args.out, json.dumps({"witness": None}, indent=2) + "\n")
+        _write_json(args.out, {"witness": None})
         return 0
     instance, prop = found
     print(f"witness profile found; expected output fails {prop}")
-    _write_text(
-        args.out,
-        json.dumps(
-            {"witness": {"profile": serialize_instance(instance), "fails": prop}},
-            indent=2,
-        )
-        + "\n",
-    )
+    _write_json(args.out, {"witness": {"profile": serialize_instance(instance), "fails": prop}})
     return 0
 
 

@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .mechanisms import ModularRng, gpbm
 from .model import (
-    ONE,
     ZERO,
     DeterministicAssignment,
     InputError,
@@ -26,45 +25,81 @@ from .model import (
     Lottery,
     RandomAssignment,
     RoundDecomposition,
-    integer_rows,
-    share_sum,
+    _canonical,
+    _integer_form,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubagentMatrix:
     """Row-stochastic expansion of per-round shares over (agent, round) pairs.
 
     Rows are ordered agent-major: row j * round_count + c holds agent j's
     round-(c+1) shares.  The final column is the nil share; it is positive only
     in last-round rows and its column total is n * ceil(m/n) - m.
+
+    Stored, like `RandomAssignment`, as one canonical `scale` and integer
+    `numerators`; `entries` builds the `Fraction` rows on request.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    scale: int
+    numerators: tuple[tuple[int, ...], ...]
     agent_count: int
     round_count: int
     item_count: int
 
-    def __post_init__(self) -> None:
-        rows = self.agent_count * self.round_count
-        if len(self.entries) != rows:
-            raise InputError("subagent matrix has the wrong number of rows")
-        for row in self.entries:
-            if len(row) != self.item_count + 1:
-                raise InputError("subagent rows must have one column per item plus nil")
-            if any(v < ZERO for v in row):
-                raise InputError("subagent shares must be nonnegative")
-            if share_sum(row) != ONE:
-                raise InputError("every subagent row must sum to exactly 1")
-        for o in range(self.item_count):
-            if share_sum(row[o] for row in self.entries) != ONE:
-                raise InputError(f"item column {o} must sum to exactly 1")
-        nil_total = share_sum(row[self.item_count] for row in self.entries)
-        if nil_total != rows - self.item_count:
-            raise InputError("nil column total must equal n * rounds - m")
+    def __init__(
+        self,
+        entries: Sequence[Sequence[Fraction | int | str]],
+        agent_count: int,
+        round_count: int,
+        item_count: int,
+    ) -> None:
+        self._validate(*_integer_form(entries), agent_count, round_count, item_count)
 
-    def nil_share(self, row: int) -> Fraction:
-        return self.entries[row][self.item_count]
+    @classmethod
+    def _from_scaled(
+        cls, scale: int, numerators: Sequence[Sequence[int]], *shape: int
+    ) -> "SubagentMatrix":
+        """The matrix with entries numerators[row][col] / scale; `shape` is
+        (agent_count, round_count, item_count)."""
+        out = object.__new__(cls)
+        out._validate(scale, numerators, *shape)
+        return out
+
+    def _validate(
+        self,
+        scale: int,
+        numerators: Sequence[Sequence[int]],
+        agent_count: int,
+        round_count: int,
+        item_count: int,
+    ) -> None:
+        """Check the integer form and store it in canonical form.  Every row and
+        every item column sums to one, so the nil column sums to rows - m."""
+        if len(numerators) != agent_count * round_count:
+            raise InputError("subagent matrix has the wrong number of rows")
+        for row in numerators:
+            if len(row) != item_count + 1:
+                raise InputError("subagent rows must have one column per item plus nil")
+            if min(row) < 0:
+                raise InputError("subagent shares must be nonnegative")
+            if sum(row) != scale:
+                raise InputError("every subagent row must sum to exactly 1")
+        for o in range(item_count):
+            if sum(row[o] for row in numerators) != scale:
+                raise InputError(f"item column {o} must sum to exactly 1")
+        scale, numerators = _canonical(scale, numerators)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "agent_count", agent_count)
+        object.__setattr__(self, "round_count", round_count)
+        object.__setattr__(self, "item_count", item_count)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        scale = self.scale
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.numerators)
 
 
 def expand_subagents(per_round: Sequence[RandomAssignment]) -> SubagentMatrix:
@@ -76,20 +111,25 @@ def expand_subagents(per_round: Sequence[RandomAssignment]) -> SubagentMatrix:
     m = stages[0].item_count
     rounds = len(stages)
     last = rounds - 1
-    entries: list[tuple[Fraction, ...]] = []
+    # every round in units of 1/scale
+    scale = math.lcm(*(stage.scale for stage in stages))
+    factors = [scale // stage.scale for stage in stages]
+    rows: list[list[int]] = []
     for j in range(n):
         for c, stage in enumerate(stages):
-            row = stage.row(j)
-            consumed = share_sum(row)
-            if consumed > ONE:
+            factor = factors[c]
+            row = [v * factor for v in stage.numerators[j]]
+            consumed = sum(row)
+            if consumed > scale:
                 raise InputError(f"agent {j} consumed more than one unit in round {c + 1}")
-            if c < last and consumed != ONE:
+            if c < last and consumed != scale:
                 raise InputError(
-                    f"agent {j} consumed {consumed} in non-final round {c + 1}; "
+                    f"agent {j} consumed {Fraction(consumed, scale)} in non-final round {c + 1}; "
                     "only final-round rows may carry nil share"
                 )
-            entries.append(tuple(row) + (ONE - consumed,))
-    return SubagentMatrix(tuple(entries), n, rounds, m)
+            row.append(scale - consumed)
+            rows.append(row)
+    return SubagentMatrix._from_scaled(scale, rows, n, rounds, m)
 
 
 @dataclass(frozen=True)
@@ -109,7 +149,7 @@ class DecomposedLottery:
     def __post_init__(self) -> None:
         m = self.source.item_count
         rows = self.source.agent_count * self.source.round_count
-        entries = self.source.entries
+        entries = self.source.numerators
         # Weights are the coefficients in units of 1/scale, so the
         # reconstruction below adds exact integers.
         scale = math.lcm(*(coefficient.denominator for coefficient, _ in self.atoms))
@@ -146,9 +186,10 @@ class DecomposedLottery:
             raise InputError(
                 f"decomposition coefficients sum to {Fraction(total, scale)}, expected 1"
             )
+        source_scale = self.source.scale
         for rebuilt, entry_row in zip(reconstructed, entries):
             for weight, entry in zip(rebuilt, entry_row):
-                if weight * entry.denominator != entry.numerator * scale:
+                if weight * source_scale != entry * scale:
                     raise InputError(
                         "coefficient-weighted matchings do not reconstruct the matrix"
                     )
@@ -190,26 +231,30 @@ class DecomposedLottery:
         return tuple(out)
 
 
-def _square_doubly_stochastic(matrix: SubagentMatrix) -> list[list[Fraction]]:
-    """Split the nil column into unit-sum virtual columns by greedy filling."""
+def _square_doubly_stochastic(matrix: SubagentMatrix) -> list[list[int]]:
+    """Split the nil column into unit-sum virtual columns by greedy filling.
+
+    Entries stay in the matrix's units of 1/scale, so a unit is `scale`.
+    """
+    unit = matrix.scale
     rows = matrix.agent_count * matrix.round_count
     m = matrix.item_count
     virtual = rows - m
-    square = [list(row[:m]) + [ZERO] * virtual for row in matrix.entries]
+    square = [list(row[:m]) + [0] * virtual for row in matrix.numerators]
     col = 0
-    room = ONE
+    room = unit
     for row in range(rows):
-        share = matrix.nil_share(row)
-        while share > ZERO:
+        share = matrix.numerators[row][m]
+        while share > 0:
             poured = min(share, room)
-            if poured == ZERO:
+            if poured == 0:
                 raise AssertionError("nil shares exceed the virtual column capacity")
             square[row][m + col] += poured
             share -= poured
             room -= poured
-            if room == ZERO and col < virtual - 1:
+            if room == 0 and col < virtual - 1:
                 col += 1
-                room = ONE
+                room = unit
     return square
 
 
@@ -264,14 +309,13 @@ def birkhoff_decompose(matrix: SubagentMatrix) -> DecomposedLottery:
     Repeatedly extracts a perfect matching on the positive entries, subtracts
     it scaled by its minimum matched entry, and records the pair.  Terminates
     with at most s*s - 2s + 2 atoms for s = n * ceil(m/n).  The entries are
-    scaled to integers by the least common multiple of their denominators,
-    and each row keeps a list of its positive columns that loses a column
-    when its entry reaches zero.
+    the matrix's integer numerators, and each row keeps a list of its positive
+    columns that loses a column when its entry reaches zero.
     """
-    square = _square_doubly_stochastic(matrix)
-    size = len(square)
+    scaled = _square_doubly_stochastic(matrix)
+    size = len(scaled)
     m = matrix.item_count
-    scale, scaled = integer_rows(square)
+    scale = matrix.scale
     support = [[col for col, v in enumerate(row) if v] for row in scaled]
     raw_atoms: list[tuple[Fraction, list[int]]] = []
     remaining = scale

@@ -37,7 +37,6 @@ from .model import (
     RandomAssignment,
     RoundDecomposition,
     SizeLimitError,
-    share_sum,
 )
 
 DEFAULT_BRANCH_CAP = 10**6
@@ -319,47 +318,60 @@ class GpbmOutcome:
     supply_trace: tuple[ConsumptionStep, ...] | None = None
 
     def __post_init__(self) -> None:
-        stages = [stage.rows for stage in self.per_round.rounds]
-        summed = tuple(
-            tuple(share_sum(entries) for entries in zip(*agent_rows))
-            for agent_rows in zip(*stages)
-        )
-        if summed != self.total.rows:
+        total = self.total
+        stages = self.per_round.rounds
+        # every matrix in units of 1/common, so that sums compare as integers
+        common = math.lcm(total.scale, *(stage.scale for stage in stages))
+
+        def flat(matrix: RandomAssignment) -> list[int]:
+            factor = common // matrix.scale
+            return [v * factor for row in matrix.numerators for v in row]
+
+        if list(map(sum, zip(*map(flat, stages)))) != flat(total):
             raise InputError("per-round matrices do not sum to the total")
-        for o, column in enumerate(zip(*self.total.rows)):
-            if share_sum(column) != ONE:
+        for o, column in enumerate(zip(*total.numerators)):
+            if sum(column) != total.scale:
                 raise InputError(f"item column {o} does not sum to 1")
-        for c, rows in enumerate(stages[:-1]):
-            for j, row in enumerate(rows):
-                row_sum = share_sum(row)
-                if row_sum != ONE:
+        for c, stage in enumerate(stages[:-1]):
+            for j, row in enumerate(stage.numerators):
+                row_sum = sum(row)
+                if row_sum != stage.scale:
                     raise InputError(
-                        f"agent {j} consumed {row_sum} in non-final round {c + 1}, expected 1"
+                        f"agent {j} consumed {Fraction(row_sum, stage.scale)} "
+                        f"in non-final round {c + 1}, expected 1"
                     )
 
 
-def _equal_rate_split(
-    budgets: Sequence[Fraction], supply: Fraction
-) -> tuple[list[Fraction], Fraction]:
-    """Split `supply` among consumers eating at one common rate.
+def _equal_rate_split(budgets: Sequence[int], supply: int) -> tuple[int, list[int], int]:
+    """Split `supply` among consumers eating at one common rate, in integer units.
 
     Each consumer stops when its own budget is exhausted; everything stops when
     the supply is.  Waterfilling: advance time by the smallest binding amount,
-    drop finished consumers, repeat; at most len(budgets) passes.
+    drop finished consumers, repeat; at most len(budgets) passes.  When the
+    supply runs out during a pass of k consumers and k does not divide it, the
+    unit shrinks by growth = k // gcd(left, k) first, so every amount stays
+    whole.  Returns (growth, eaten, left), eaten and left in the new units.
     """
-    eaten = [ZERO] * len(budgets)
+    eaten = [0] * len(budgets)
     left = supply
-    active = [i for i in range(len(budgets)) if budgets[i] > ZERO]
-    while active and left > ZERO:
-        step = min(
-            min(budgets[i] - eaten[i] for i in active),
-            left / len(active),
-        )
+    active = [i for i in range(len(budgets)) if budgets[i]]
+    while active and left:
+        k = len(active)
+        step = min(budgets[i] - eaten[i] for i in active)
+        if step * k >= left:
+            # the supply runs out in this pass, which is the last one
+            growth = k // math.gcd(left, k)
+            if growth > 1:
+                eaten = [e * growth for e in eaten]
+            step = left * growth // k
+            for i in active:
+                eaten[i] += step
+            return growth, eaten, 0
         for i in active:
             eaten[i] += step
-        left -= step * len(active)
+        left -= step * k
         active = [i for i in active if eaten[i] < budgets[i]]
-    return eaten, left
+    return 1, eaten, left
 
 
 def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
@@ -372,20 +384,25 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     agent ranks one item per position, so items within a consumption round
     never compete for the same agent, and grouping the budget-positive agents
     by their r-th item finds every eater in O(n).
+
+    All quantities are integers in units of 1/scale, one scale for the whole
+    run.  A split that does not come out whole grows the scale, and the supply
+    and budgets with it; the amounts eaten so far keep the scale they were
+    eaten at and are brought to the final scale once, at the end.
     """
     n = instance.agent_count
     m = instance.item_count
     prefs = instance.pref_order
-    supply: list[Fraction] = [ONE] * m
+    scale = 1
+    supply = [1] * m
     stocked = m
-    total = [[ZERO] * m for _ in range(n)]
-    stages: list[RandomAssignment] = []
+    # (round, agent, item, amount, the scale the amount is in)
+    eaten: list[tuple[int, int, int, int, int]] = []
     trace: list[ConsumptionStep] = []
     round_index = 0
     while stocked:
         round_index += 1
-        shares = [[ZERO] * m for _ in range(n)]
-        budget: list[Fraction] = [ONE] * n
+        budget = [scale] * n
         hungry = list(range(n))
         for r in range(m):
             if not hungry or not stocked:
@@ -397,26 +414,41 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
                     groups.setdefault(o, []).append(j)
             for o in sorted(groups):
                 eaters = groups[o]
-                amounts, supply[o] = _equal_rate_split([budget[j] for j in eaters], supply[o])
-                if not supply[o]:
+                growth, amounts, left = _equal_rate_split([budget[j] for j in eaters], supply[o])
+                if growth > 1:
+                    scale *= growth
+                    supply = [v * growth for v in supply]
+                    budget = [v * growth for v in budget]
+                supply[o] = left
+                if not left:
                     stocked -= 1
                 for j, amount in zip(eaters, amounts):
-                    shares[j][o] = amount
-                    total[j][o] += amount
+                    eaten.append((round_index - 1, j, o, amount, scale))
                     budget[j] -= amount
                 if keep_trace:
                     trace.append(
-                        ConsumptionStep(round_index, r + 1, o, tuple(eaters), tuple(amounts))
+                        ConsumptionStep(
+                            round_index,
+                            r + 1,
+                            o,
+                            tuple(eaters),
+                            tuple(Fraction(amount, scale) for amount in amounts),
+                        )
                     )
             hungry = [j for j in hungry if budget[j]]
-        stages.append(RandomAssignment(tuple(map(tuple, shares))))
     if round_index != instance.rounds_needed:
         raise AssertionError(
             f"eating ran {round_index} rounds, expected {instance.rounds_needed}"
         )
+    stages = [[[0] * m for _ in range(n)] for _ in range(round_index)]
+    total = [[0] * m for _ in range(n)]
+    for c, j, o, amount, at_scale in eaten:
+        amount *= scale // at_scale
+        stages[c][j][o] = amount
+        total[j][o] += amount
     return GpbmOutcome(
-        RandomAssignment(tuple(map(tuple, total))),
-        RoundDecomposition(tuple(stages)),
+        RandomAssignment._from_scaled(scale, total),
+        RoundDecomposition(tuple(RandomAssignment._from_scaled(scale, rows) for rows in stages)),
         tuple(trace) if keep_trace else None,
     )
 

@@ -3,12 +3,14 @@
 Agents hold strict preferences over m distinct items.  Outcomes are
 deterministic assignments (binary matrices), random assignments (matrices of
 exact rational shares), and lotteries (finite distributions over deterministic
-assignments).  All arithmetic is exact: shares are `fractions.Fraction` values
-and no routine in this module ever rounds.
+assignments).  All arithmetic is exact: shares enter and leave the API as
+`fractions.Fraction` values, are stored as integers over one common
+denominator, and no routine in this module ever rounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,25 +28,6 @@ class InputError(ValueError):
 
 class SizeLimitError(RuntimeError):
     """An exact computation would exceed its configured cap."""
-
-
-def share_sum(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum that skips zero entries.
-
-    Most entries of a share matrix are zero, and adding a zero `Fraction`
-    costs as much as adding any other.
-    """
-    return sum(filter(None, values), ZERO)
-
-
-def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """(L, rows * L) for L the least common multiple of the denominators.
-
-    Comparisons and sums of the scaled integers are exact and avoid the
-    `Fraction` overhead.
-    """
-    scale = math.lcm(*{v.denominator for row in rows for v in row})
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -382,7 +365,7 @@ class DeterministicAssignment:
         return tuple(ONE if j == agent else ZERO for j in self.holders)
 
     def to_random(self) -> "RandomAssignment":
-        return RandomAssignment(tuple(map(self.indicator, range(self.agent_count))))
+        return RandomAssignment._from_scaled(1, self.rows)
 
 
 def row_key(assignment: DeterministicAssignment) -> int:
@@ -399,48 +382,93 @@ def row_key(assignment: DeterministicAssignment) -> int:
     return key
 
 
-@dataclass(frozen=True)
+def _integer_form(
+    rows: Iterable[Iterable[Fraction | int | str]],
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(scale, numerators) of a matrix given entry by entry: the scale is the
+    least common multiple of the reduced denominators and numerators[j][o] is
+    entry (j, o) times the scale."""
+    rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+
+
+def _canonical(
+    scale: int, numerators: Iterable[Iterable[int]]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The matrix numerators[j][o] / scale with the common factor of the scale
+    and every numerator divided out, which is its `_integer_form`."""
+    numerators = tuple(map(tuple, numerators))
+    common = math.gcd(scale, *itertools.chain.from_iterable(numerators))
+    if common == 1:
+        return scale, numerators
+    return scale // common, tuple(tuple(v // common for v in row) for row in numerators)
+
+
+@dataclass(frozen=True, init=False)
 class RandomAssignment:
-    """Probabilistic shares: n x m matrix of exact rationals in [0, 1]."""
+    """Probabilistic shares: an n x m matrix of exact rationals in [0, 1].
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    Stored as one `scale` and integer `numerators`: entry (j, o) is
+    numerators[j][o] / scale.  The scale is the least common multiple of the
+    entries' reduced denominators, so gcd(scale, *numerators) == 1 and
+    equality and hashing use (scale, numerators), which is equivalent to
+    comparing the `Fraction` rows.  `rows`, `row` and `entry` build `Fraction`
+    views on request.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in self.rows
-        )
-        object.__setattr__(self, "rows", rows)
-        if not rows:
+    scale: int
+    numerators: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rows: Sequence[Sequence[Fraction | int | str]]) -> None:
+        scale, numerators = _integer_form(rows)
+        if not numerators:
             raise InputError("random assignment needs at least one agent row")
-        m = len(rows[0])
-        for row in rows:
+        m = len(numerators[0])
+        for row in numerators:
             if len(row) != m:
                 raise InputError("random assignment rows have inconsistent lengths")
             for v in row:
-                # a reduced Fraction's denominator is positive
-                if not 0 <= v.numerator <= v.denominator:
-                    raise InputError(f"share {v} is outside [0, 1]")
+                if not 0 <= v <= scale:
+                    raise InputError(f"share {Fraction(v, scale)} is outside [0, 1]")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "numerators", numerators)
+
+    @classmethod
+    def _from_scaled(cls, scale: int, numerators: Iterable[Iterable[int]]) -> "RandomAssignment":
+        """Skip validation for shares numerators[j][o] / scale that a producer
+        just built itself."""
+        out = object.__new__(cls)
+        scale, numerators = _canonical(scale, numerators)
+        object.__setattr__(out, "scale", scale)
+        object.__setattr__(out, "numerators", numerators)
+        return out
 
     @property
     def agent_count(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
 
     @property
     def item_count(self) -> int:
-        return len(self.rows[0])
+        return len(self.numerators[0])
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(self.row, range(self.agent_count)))
 
     def row(self, agent: int) -> tuple[Fraction, ...]:
-        return self.rows[agent]
+        scale = self.scale
+        return tuple(Fraction(v, scale) for v in self.numerators[agent])
 
     def entry(self, agent: int, item: int) -> Fraction:
-        return self.rows[agent][item]
+        return Fraction(self.numerators[agent][item], self.scale)
 
     def column_sum(self, item: int) -> Fraction:
-        return share_sum(row[item] for row in self.rows)
+        return Fraction(sum(row[item] for row in self.numerators), self.scale)
 
     @cached_property
     def is_fully_allocating(self) -> bool:
-        return all(self.column_sum(o) == ONE for o in range(self.item_count))
+        return all(sum(column) == self.scale for column in zip(*self.numerators))
 
 
 @dataclass(frozen=True)
@@ -464,10 +492,17 @@ class Lottery:
             raise InputError("lottery atoms have inconsistent shapes")
         if len({a.holders for _, a in self.atoms}) < len(self.atoms):
             raise InputError("lottery atoms must be deduplicated")
+        scale, weights = self._weights()
+        if sum(weights) != scale:
+            raise InputError(
+                f"lottery probabilities sum to {Fraction(sum(weights), scale)}, expected 1"
+            )
+
+    def _weights(self) -> tuple[int, list[int]]:
+        """(L, each atom's probability times L) for L the least common multiple
+        of the probabilities' denominators."""
         scale = math.lcm(*{prob.denominator for prob, _ in self.atoms})
-        total = sum(prob.numerator * (scale // prob.denominator) for prob, _ in self.atoms)
-        if total != scale:
-            raise InputError(f"lottery probabilities sum to {Fraction(total, scale)}, expected 1")
+        return scale, [prob.numerator * (scale // prob.denominator) for prob, _ in self.atoms]
 
     @classmethod
     def of(
@@ -493,12 +528,13 @@ class Lottery:
     def expected(self) -> RandomAssignment:
         """The probability-weighted mean matrix of the lottery."""
         first = self.atoms[0][1]
-        rows = [[ZERO] * first.item_count for _ in range(first.agent_count)]
-        for prob, assignment in self.atoms:
+        scale, weights = self._weights()
+        numerators = [[0] * first.item_count for _ in range(first.agent_count)]
+        for weight, (_, assignment) in zip(weights, self.atoms):
             for o, j in enumerate(assignment.holders):
                 if j is not None:
-                    rows[j][o] += prob
-        return RandomAssignment(tuple(map(tuple, rows)))
+                    numerators[j][o] += weight
+        return RandomAssignment._from_scaled(scale, numerators)
 
     def probability_of(self, assignment: DeterministicAssignment) -> Fraction:
         for prob, atom in self.atoms:
@@ -532,7 +568,7 @@ class RoundDecomposition:
             if isinstance(stage, DeterministicAssignment):
                 over = not stage.is_matching
             else:
-                over = any(share_sum(row) > 1 for row in stage.rows)
+                over = any(sum(row) > stage.scale for row in stage.numerators)
             if over:
                 raise InputError("an agent exceeds one unit within a single round")
 
@@ -577,7 +613,7 @@ def permute_deterministic(
 
 
 def permute_random(matrix: RandomAssignment, perm: Mapping[int, int]) -> RandomAssignment:
-    return RandomAssignment(_permute_columns(matrix.rows, perm))
+    return RandomAssignment._from_scaled(matrix.scale, _permute_columns(matrix.numerators, perm))
 
 
 def permute_lottery(lottery: Lottery, perm: Mapping[int, int]) -> Lottery:

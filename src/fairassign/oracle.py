@@ -215,6 +215,11 @@ def sd_wsp_audit(
 
     Agents and the m! reported orders are scanned in a fixed order, so the
     first witness is deterministic.  Returns None when no deviation helps.
+
+    An agent whose true order repeats an earlier agent's is skipped: both
+    mechanisms are anonymous, so swapping the two clones maps each of the
+    later agent's misreports onto the same misreport by the earlier one, and
+    the scan reaches the later agent only when the earlier one had no witness.
     """
     m = instance.item_count
     if m > max_items:
@@ -223,19 +228,44 @@ def sd_wsp_audit(
         )
     expected = _exact(mechanism)[0]
     truthful = expected(instance)
+    orders = instance.pref_order
     for agent in range(instance.agent_count):
-        true_order = instance.pref_order[agent]
-        truthful_row = truthful.row(agent)
+        true_order = orders[agent]
+        if true_order in orders[:agent]:
+            continue
+        truthful_row = truthful.numerators[agent]
         for reported in itertools.permutations(range(m)):
             if reported == true_order:
                 continue
             manipulated = expected(instance.with_agent_order(agent, reported))
-            row = manipulated.row(agent)
-            if row != truthful_row and sd_dominates(true_order, row, truthful_row):
+            row, scale = manipulated.numerators[agent], manipulated.scale
+            if _sd_improves(true_order, row, scale, truthful_row, truthful.scale):
                 return SpWitness(
-                    mechanism, instance, agent, tuple(reported), truthful_row, row
+                    mechanism,
+                    instance,
+                    agent,
+                    tuple(reported),
+                    truthful.row(agent),
+                    manipulated.row(agent),
                 )
     return None
+
+
+def _sd_improves(
+    order: Sequence[int], row: Sequence[int], scale: int, base: Sequence[int], base_scale: int
+) -> bool:
+    """Whether the shares row / scale sd-dominate base / base_scale under
+    `order` and differ from them.  Cumulative sums along `order` are compared
+    by cross-multiplying, so every comparison is between integers; the rows
+    differ exactly when some cumulative gap is positive."""
+    gap = 0
+    ahead = False
+    for o in order:
+        gap += row[o] * base_scale - base[o] * scale
+        if gap < 0:
+            return False
+        ahead = ahead or gap > 0
+    return ahead
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .model import (
     Instance,
     Lottery,
     RandomAssignment,
-    integer_rows,
 )
 
 
@@ -34,6 +33,11 @@ class PropertyReport:
 
     def to_payload(self) -> dict:
         return {"property": self.name, "verdict": self.verdict, "witness": self.witness}
+
+
+def _check_shape(instance: Instance, matrix: RandomAssignment | DeterministicAssignment) -> None:
+    if (matrix.agent_count, matrix.item_count) != (instance.agent_count, instance.item_count):
+        raise InputError("share matrix shape does not match the instance")
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +106,9 @@ def check_sde_acyclic(
     """
     if require_fully_allocating and not matrix.is_fully_allocating:
         raise InputError("ex-ante efficiency is checked on fully allocating matrices")
-    if (matrix.agent_count, matrix.item_count) != (instance.agent_count, instance.item_count):
-        raise InputError("share matrix shape does not match the instance")
+    _check_shape(instance, matrix)
     out_edges = [0] * instance.item_count
-    for row, better in zip(matrix.rows, instance.better_masks):
+    for row, better in zip(matrix.numerators, instance.better_masks):
         # shares are validated nonnegative: nonzero means positive
         for o, share in enumerate(row):
             if share:
@@ -154,29 +157,38 @@ def check_ef1(instance: Instance, assignment: DeterministicAssignment) -> Proper
     An empty envied bundle passes vacuously; the removed item may be any item
     of the envied bundle.  Removing an envied item raises the envious agent's
     cumulative gaps by one from that item's place in its order on, and the
-    first negative gap always falls on an envied item, so a pair passes
-    exactly when no gap is below -1.
+    first negative gap always falls on an envied item, so agent j envies k
+    beyond one item exactly when, over some prefix of j's order, k holds at
+    least two items more than j.  One walk along j's order over `holders`
+    counts every agent's items at once and finds j's first such k.
     """
-    for j, k, gaps in _cumulative_gaps(instance, assignment):
-        if min(gaps) < -1:
-            return PropertyReport("ef1", False, _envy_witness(instance, j, k))
+    _check_shape(instance, assignment)
+    holders = assignment.holders
+    for j, order in enumerate(instance.pref_order):
+        counts = [0] * instance.agent_count
+        envied = None
+        for o in order:
+            k = holders[o]
+            if k is None:
+                continue
+            counts[k] += 1
+            if k != j and counts[k] >= counts[j] + 2 and (envied is None or k < envied):
+                envied = k
+        if envied is not None:
+            return PropertyReport("ef1", False, _envy_witness(instance, j, envied))
     return PropertyReport("ef1", True)
 
 
 def _cumulative_gaps(
-    instance: Instance, matrix: RandomAssignment | DeterministicAssignment
+    instance: Instance, matrix: RandomAssignment
 ) -> Iterator[tuple[int, int, list[int]]]:
     """For every ordered pair of distinct agents (j, k), in ascending order,
     yield (j, k, gaps): gaps[t] is j's cumulative share minus k's over j's t+1
-    most preferred items, in units of 1/L for L the least common multiple of
-    the matrix's denominators, so every comparison is between exact integers.
+    most preferred items, in units of 1/scale, so every comparison is between
+    exact integers.
     """
-    if (matrix.agent_count, matrix.item_count) != (instance.agent_count, instance.item_count):
-        raise InputError("share matrix shape does not match the instance")
-    # a deterministic assignment's 0/1 rows are integers already
-    rows = matrix.rows
-    if isinstance(matrix, RandomAssignment):
-        _, rows = integer_rows(rows)
+    _check_shape(instance, matrix)
+    rows = matrix.numerators
     for j, order in enumerate(instance.pref_order):
         own = [rows[j][o] for o in order]
         for k, row in enumerate(rows):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import fairassign as fa
 from fairassign.decomposition import (
     DecomposedLottery,
     Realization,
+    SubagentMatrix,
     _perfect_matching,
     birkhoff_decompose,
     expand_subagents,
@@ -125,6 +127,44 @@ def test_decomposition_validation_rejects_tampering(two_agent):
             ((F(1), matching),),  # drops the second atom
             fa.Lottery.of([(F(1), decomposed.atom_assignment(0))]),
         )
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        (((1, 0, 0),), "subagent matrix has the wrong number of rows"),
+        (((1, 0, 0), (0, 1)), "subagent rows must have one column per item plus nil"),
+        (((F(-1, 2), F(3, 2), 0), (F(3, 2), F(-1, 2), 0)), "subagent shares must be nonnegative"),
+        (((F(1, 2), 0, 0), (F(1, 2), 1, 0)), "every subagent row must sum to exactly 1"),
+        (((1, 0, 0), (1, 0, 0)), "item column 0 must sum to exactly 1"),
+    ],
+)
+def test_subagent_matrix_messages(entries, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        SubagentMatrix(entries, 2, 1, 2)
+
+
+def test_decomposed_lottery_messages(two_agent):
+    decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
+    # rows: (1/2, 1/2, 0, 0 | 0), (0, 1/2, 0, 1/2 | 0), (1/2, 0, 1/2, 0 | 0), (0, 0, 1/2, 1/2 | 0)
+    h = F(1, 2)
+    cases = [
+        (((F(0), (0, 1, 2, 3)), (F(1), (1, 3, 0, 2))), "decomposition coefficients must be positive"),
+        (((F(1), (0, 1, 2)),), "an atom does not match every subagent"),
+        (((F(1), (None, 1, 2, 3)),), "subagent row 0 matched to nil without nil share"),
+        (((F(1), (2, 1, 0, 3)),), "atom uses pair (row 0, item 2) with zero share"),
+        (((F(1), (0, 1, 0, 3)),), "item 0 matched twice within one atom"),
+        (((h, (0, 1, 2, 3)),), "decomposition coefficients sum to 1/2, expected 1"),
+        (((F(1), (0, 1, 2, 3)),), "coefficient-weighted matchings do not reconstruct the matrix"),
+    ]
+    for atoms, message in cases:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            DecomposedLottery(decomposed.source, atoms, decomposed.projected)
+    odd = fa.Instance.from_prefs({"1": ["x", "y", "z"], "2": ["x", "z", "y"]})
+    source = expand_subagents(fa.gpbm(odd).per_round)
+    # rows: (1/2, 1/2, 0 | 0), (0, 1/2, 0 | 1/2), (1/2, 0, 1/2 | 0), (0, 0, 1/2 | 1/2)
+    with pytest.raises(InputError, match="^an atom leaves some item unmatched$"):
+        DecomposedLottery(source, ((F(1), (0, None, 2, None)),), decomposed.projected)
 
 
 def test_round_matchings_respect_support(two_agent, four_agent):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairassign as fa
+from fairassign import mechanisms
 from eating_reference import birkhoff_atoms, eat, ef1_witness, sd_envy_witnesses
 from fairassign.decomposition import birkhoff_decompose, expand_subagents
 from profile_strategies import fully_allocating, profiles
@@ -60,6 +61,32 @@ def test_gpbm_matches_reference_scan(instance):
         == trace
     )
     assert fa.gpbm(instance, keep_trace=False).per_round == outcome.per_round
+
+
+def test_gpbm_growing_its_scale_twice_matches_reference_scan(monkeypatch):
+    # consumption round 1 splits item a among three agents, then b among two,
+    # which does not divide the supply left at scale 3: the scale goes 1, 3, 6
+    instance = fa.Instance.from_prefs(
+        {"1": "abcde", "2": "abcde", "3": "acbde", "4": "bacde", "5": "bcade"}, items="abcde"
+    )
+    growths = []
+    split = mechanisms._equal_rate_split
+
+    def recording_split(budgets, supply):
+        growth, eaten, left = split(budgets, supply)
+        growths.append(growth)
+        return growth, eaten, left
+
+    monkeypatch.setattr(mechanisms, "_equal_rate_split", recording_split)
+    outcome = fa.gpbm(instance)
+    assert growths[:2] == [3, 2]
+    total, rounds, trace = eat(instance)
+    assert outcome.total.rows == total
+    assert tuple(stage.rows for stage in outcome.per_round.rounds) == rounds
+    assert tuple(
+        (s.round_index, s.consumption_round, s.item, s.consumers, s.amounts)
+        for s in outcome.supply_trace
+    ) == trace
 
 
 @settings(max_examples=100, deadline=None)

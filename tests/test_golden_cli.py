@@ -1,7 +1,8 @@
 """Byte-identity guard for CLI artifacts.
 
 `tests/golden/` holds a few small instances and every artifact that
-`fairassign run`, `decompose` and `check` write for them.  The test reruns
+`fairassign run`, `decompose` and `check` write for them, plus the `audit sp`
+witnesses of both exact mechanisms on `ic3x5`.  The test reruns
 each command and compares the output file byte for byte, so a change in atom
 order, in a rational's formatting or in a witness shows up here.  `check`
 reads the committed `run` artifact, so its report depends on nothing else.
@@ -40,6 +41,11 @@ CHECKS = (
     ("gebm-lottery", "expost-pe,expost-fcm,expost-ef1"),
     ("gpbm-lottery", "expost-pe,expost-fcm,expost-ef1"),
 )
+#: (instance, artifact stem, command line) of the sp audits; both find a witness
+AUDITS = tuple(
+    ("ic3x5", f"audit-sp-{mechanism}", ["audit", "sp", "--mechanism", mechanism])
+    for mechanism in ("gebm", "gpbm")
+)
 
 
 def _cases():
@@ -49,6 +55,8 @@ def _cases():
         for stem, props in CHECKS:
             argv = ["check", "--input", str(GOLDEN / f"{name}.{stem}.json"), "--properties", props]
             yield f"{name}.{stem}.check.json", name, argv
+    for name, stem, argv in AUDITS:
+        yield f"{name}.{stem}.json", name, argv
 
 
 def _produce(name: str, argv: list[str], out: Path) -> bytes:

@@ -227,12 +227,20 @@ def test_cross_round_ordering_and_feri_on_samples(two_agent, four_agent):
 
 
 def test_equal_rate_split_waterfilling():
-    amounts, left = _equal_rate_split([F(1), F(1, 3)], F(1))
-    assert amounts == [F(2, 3), F(1, 3)] and left == F(0)
-    amounts, left = _equal_rate_split([F(1), F(1)], F(1, 2))
-    assert amounts == [F(1, 4), F(1, 4)] and left == F(0)
-    amounts, left = _equal_rate_split([F(1, 4), F(1, 4)], F(1))
-    assert amounts == [F(1, 4), F(1, 4)] and left == F(1, 2)
+    # budgets 1 and 1/3 eat a supply of 1, in units of 1/3: 2/3 and 1/3
+    assert _equal_rate_split([3, 1], 3) == (1, [2, 1], 0)
+    # two budgets of 1 eat a supply of 1/2, in units of 1/2: the unit halves
+    # so that each eats 1/4
+    assert _equal_rate_split([2, 2], 1) == (2, [1, 1], 0)
+    # budgets of 1/4 leave 1/2 of a supply of 1, in units of 1/4
+    assert _equal_rate_split([1, 1], 4) == (1, [1, 1], 2)
+    # the unit shrinks by k // gcd(left, k): three eaters of a supply of 1
+    # need no new unit; of a supply of 2/3 (units of 1/3) a unit three times
+    # smaller, so each eats 2/9; four eaters of a supply of 1/2 (units of 1/4)
+    # a unit half the size, so each eats 1/8
+    assert _equal_rate_split([3, 3, 3], 3) == (1, [1, 1, 1], 0)
+    assert _equal_rate_split([3, 3, 3], 2) == (3, [2, 2, 2], 0)
+    assert _equal_rate_split([4, 4, 4, 4], 2) == (2, [1, 1, 1, 1], 0)
 
 
 def test_eating_two_agent_rounds(two_agent):

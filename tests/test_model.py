@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairassign as fa
@@ -17,6 +19,7 @@ from fairassign.model import (
     permute_random,
     row_key,
 )
+from profile_strategies import profiles
 
 F = Fraction
 
@@ -197,6 +200,101 @@ def test_random_assignment_bounds():
     converted = fa.RandomAssignment((("1/2", 1), (0.5, 0)))
     assert converted == matrix
     assert all(type(v) is F for row in converted.rows for v in row)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ((), "random assignment needs at least one agent row"),
+        (((F(1, 2),), (0, 1)), "random assignment rows have inconsistent lengths"),
+        (((F(3, 2), 0), (0, 1)), "share 3/2 is outside [0, 1]"),
+        ((("1/2", "-1/2"),), "share -1/2 is outside [0, 1]"),
+    ],
+)
+def test_random_assignment_constructor_messages(rows, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        fa.RandomAssignment(rows)
+
+
+def _assert_canonical(matrix):
+    """The stored pair is integers over the least common multiple of the
+    reduced denominators, so it has no common factor."""
+    numerators = [v for row in matrix.numerators for v in row]
+    assert type(matrix.scale) is int and all(type(v) is int for v in numerators)
+    assert matrix.scale == math.lcm(*(v.denominator for row in matrix.rows for v in row))
+    assert math.gcd(matrix.scale, *numerators) == 1
+
+
+@st.composite
+def share_rows(draw, agent_count, item_count):
+    share = st.builds(
+        lambda d, p: F(p % (d + 1), d), st.sampled_from([1, 2, 3, 4, 6, 12]), st.integers(0, 12)
+    )
+    row = st.lists(share, min_size=item_count, max_size=item_count)
+    return tuple(map(tuple, draw(st.lists(row, min_size=agent_count, max_size=agent_count))))
+
+
+def _random_constructions(rows):
+    """The same share matrix through every public route that takes its entries,
+    and through a column permutation and back."""
+    n, m = len(rows), len(rows[0])
+    instance = fa.Instance.from_prefs([[str(o) for o in range(m)]] * n)
+    perm = {o: (o + 1) % m for o in range(m)}
+    back = {o: (o - 1) % m for o in range(m)}
+    direct = fa.RandomAssignment(rows)
+    return [
+        direct,
+        fa.RandomAssignment(tuple(tuple(str(v) for v in row) for row in rows)),
+        fa.RandomAssignment(
+            tuple(tuple(int(v) if v.denominator == 1 else v for v in row) for row in rows)
+        ),
+        fa.model.random_from_payload(instance, [[str(v) for v in row] for row in rows]),
+        permute_random(permute_random(direct, perm), back),
+    ]
+
+
+@given(st.data())
+def test_random_assignment_equality_and_hash_follow_rows(data):
+    shape = st.tuples(st.integers(1, 4), st.integers(1, 5))
+    n1, m1 = data.draw(shape)
+    n2, m2 = data.draw(st.one_of(st.just((n1, m1)), shape))
+    rows1 = data.draw(share_rows(n1, m1))
+    candidates = [share_rows(n2, m2)]
+    if (n2, m2) == (n1, m1):
+        candidates.append(st.just(rows1))
+    rows2 = data.draw(st.one_of(candidates))
+    same = rows1 == rows2
+    second = _random_constructions(rows2)
+    for a in _random_constructions(rows1):
+        assert a.rows == rows1
+        _assert_canonical(a)
+        for b in second:
+            assert (a == b) is same
+            if same:
+                assert hash(a) == hash(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profiles(max_agents=4, max_items=6), st.data())
+def test_produced_matrices_equal_their_public_construction(instance, data):
+    n, m = instance.agent_count, instance.item_count
+    outcome = fa.gpbm(instance)
+    holders = data.draw(st.lists(st.none() | st.integers(0, n - 1), min_size=m, max_size=m))
+    perm = dict(enumerate(data.draw(st.permutations(range(m)))))
+    produced = [
+        outcome.total,
+        *outcome.per_round.rounds,
+        fa.gebm_lottery(instance).expected(),
+        fa.gebm_expected(instance),
+        fa.rsdq_lottery(instance).expected(),
+        fa.DeterministicAssignment._from_holders(n, tuple(holders)).to_random(),
+        permute_random(outcome.total, perm),
+    ]
+    for matrix in produced:
+        _assert_canonical(matrix)
+        rebuilt = fa.RandomAssignment(matrix.rows)
+        assert matrix == rebuilt and hash(matrix) == hash(rebuilt)
+    assert produced[-5] == produced[-4]  # the lottery's mean is the expected matrix
 
 
 def test_lottery_normalization(two_agent):

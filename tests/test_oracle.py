@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import audit_reference
 import fairassign as fa
 from fairassign.model import InputError, SizeLimitError
 from fairassign.oracle import (
@@ -147,6 +150,42 @@ def test_sp_witness_payload(conflict):
     assert trace[0]["item"] == "d"
     assert [step["cumulative_manipulated"] for step in trace] == ["1", "3/2", "2", "2"]
     assert [step["cumulative_truthful"] for step in trace] == ["1", "1", "1", "2"]
+
+
+@st.composite
+def profiles_with_clones(draw):
+    """Profiles of 2-4 agents over 1-4 items with fewer distinct orders than
+    agents, so that some agent's true order repeats an earlier agent's."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    distinct = [draw(st.permutations(range(m))) for _ in range(draw(st.integers(1, n - 1)))]
+    orders = [draw(st.sampled_from(distinct)) for _ in range(n)]
+    return instance_from_orders(orders, m)
+
+
+def _payload(witness):
+    return None if witness is None else witness.to_payload()
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles_with_clones(), st.sampled_from(["gebm", "gpbm"]))
+def test_sp_audit_skipping_clones_matches_full_scan(instance, mechanism):
+    assert _payload(sd_wsp_audit(mechanism, instance)) == _payload(
+        audit_reference.sd_wsp_audit(mechanism, instance)
+    )
+
+
+def test_sp_audit_scans_one_agent_per_distinct_order(monkeypatch):
+    # three clones and one other agent: gpbm is run once truthfully, then
+    # for the 23 misreports of agent 1 and of agent 4 only
+    inst = instance_from_orders([[0, 1, 2, 3]] * 3 + [[2, 0, 1, 3]], 4)
+    calls = []
+    monkeypatch.setattr(
+        "fairassign.oracle.gpbm", lambda instance, **kw: calls.append(1) or fa.gpbm(instance, **kw)
+    )
+    assert sd_wsp_audit("gpbm", inst) is None
+    assert audit_reference.sd_wsp_audit("gpbm", inst) is None
+    assert len(calls) == (1 + 2 * 23) + (1 + 4 * 23)
 
 
 # ---------------------------------------------------------------------------
