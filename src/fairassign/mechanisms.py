@@ -28,8 +28,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .model import (
-    ONE,
-    ZERO,
     DeterministicAssignment,
     InputError,
     Instance,
@@ -277,23 +275,32 @@ def gebm_expected(instance: Instance) -> RandomAssignment:
     Probability mass flows forward through the engine states; at each state
     every applicant for an item gains the state's mass divided by the number
     of applicants, and each winners tuple passes an equal part of the mass on.
+    Masses and shares are integers at one scale, the start state's mass.
+    When a state's mass is not divisible by its number of winners tuples, the
+    scale and every mass and share held so far grow by the missing factor;
+    the group sizes divide that number, so every division is exact.
     """
-    n = instance.agent_count
-    m = instance.item_count
-    shares = [[ZERO] * m for _ in range(n)]
-    mass: dict[EngineState, Fraction] = {}
+    scale = 1
+    shares = [[0] * instance.item_count for _ in range(instance.agent_count)]
+    mass: dict[EngineState, int] = {}
     for state, contested, moves in _engine_states(instance):
-        prob = mass.pop(state, ONE)  # only the start state has no incoming move
-        if not moves:
-            continue
+        held = mass.pop(state, scale)  # only the start state has no incoming move
+        ways = math.prod(len(group) for _, group in contested)
+        if held % ways:
+            grow = ways // math.gcd(held, ways)
+            scale *= grow
+            held *= grow
+            for other in mass:
+                mass[other] *= grow
+            shares = [[v * grow for v in row] for row in shares]
         for o, group in contested:
-            share = prob / len(group)
+            part = held // len(group)
             for j in group:
-                shares[j][o] += share
-        passed = prob / math.prod(len(group) for _, group in contested)
+                shares[j][o] += part
+        passed = held // ways
         for _, successor in moves:
-            mass[successor] = mass.get(successor, ZERO) + passed
-    return RandomAssignment(tuple(map(tuple, shares)))
+            mass[successor] = mass.get(successor, 0) + passed
+    return RandomAssignment._from_scaled(scale, shares)
 
 
 # ---------------------------------------------------------------------------

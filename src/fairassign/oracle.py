@@ -2,8 +2,10 @@
 
 Brute-force routines here deliberately avoid the graph-based checkers in
 `properties`: efficiency is re-derived by exhaustive enumeration so the two
-routes can be compared, and the misreport auditor replays the exact mechanisms
-under every possible unilateral deviation.
+routes can be compared (`pe_bruteforce` reads only the instance's
+`global_rank`, never the `better_masks` that `check_pe_acyclic` walks), and
+the misreport auditor replays the exact mechanisms under every possible
+unilateral deviation.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from .model import (
     Instance,
     SizeLimitError,
     format_fraction,
-    lex_dominates,
     permute_instance,
     permute_lottery,
     permute_random,
     sd_dominates,
     serialize_instance,
 )
-from .properties import PropertyReport, check_sd_ef, check_sde_acyclic, fcm_count
+from .properties import PropertyReport, _check_shape, check_sd_ef, check_sde_acyclic, fcm_count
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -90,20 +91,25 @@ def pe_bruteforce(
     instance: Instance, assignment: DeterministicAssignment, cap: int = DEFAULT_ENUM_CAP
 ) -> bool:
     """Pareto efficiency by exhaustion: no reallocation lexicographically
-    improves a nonempty agent set while leaving everyone else's bundle intact."""
+    improves a nonempty agent set while leaving everyone else's bundle intact.
+
+    Agent j sees item o as bit global_rank[j][o] - 1, so a reallocation
+    improves j exactly when the lowest bit of the items j gains or loses is
+    one j gains."""
+    _check_shape(instance, assignment)
     if not assignment.is_complete:
         raise InputError("Pareto efficiency is checked on complete assignments")
-    base = [assignment.indicator(j) for j in range(instance.agent_count)]
+    n = instance.agent_count
+    bits = [[1 << (rank - 1) for rank in ranks] for ranks in instance.global_rank]
     for candidate in enumerate_assignments(instance, cap=cap):
         # an agent's bundle changes exactly when an item moves to or from it
-        moves = [pair for pair in zip(candidate.holders, assignment.holders) if pair[0] != pair[1]]
-        changed = {j for pair in moves for j in pair}
-        if not changed:
-            continue
-        if all(
-            lex_dominates(instance.pref_order[j], candidate.indicator(j), base[j])
-            for j in changed
-        ):
+        gained = [0] * n
+        lost = [0] * n
+        for o, (new, old) in enumerate(zip(candidate.holders, assignment.holders)):
+            if new != old:
+                gained[new] |= bits[new][o]
+                lost[old] |= bits[old][o]
+        if any(lost) and all(g & (g | l) & -(g | l) for g, l in zip(gained, lost) if g | l):
             return False
     return True
 

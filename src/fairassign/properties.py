@@ -36,7 +36,7 @@ class PropertyReport:
 
 
 def _check_shape(instance: Instance, matrix: RandomAssignment | DeterministicAssignment) -> None:
-    if (matrix.agent_count, matrix.item_count) != (instance.agent_count, instance.item_count):
+    if matrix.agent_count != instance.agent_count or matrix.item_count != instance.item_count:
         raise InputError("share matrix shape does not match the instance")
 
 
@@ -86,6 +86,7 @@ def check_pe_acyclic(instance: Instance, assignment: DeterministicAssignment) ->
     prefers o'.  Every item of a complete assignment has one holder, so item
     o's out-edges are `instance.better_masks[holder][o]`.
     """
+    _check_shape(instance, assignment)
     holders = assignment.holders
     if None in holders:
         raise InputError("Pareto efficiency is checked on complete assignments")
@@ -133,6 +134,7 @@ def fcm_max(instance: Instance) -> int:
 
 def check_fcm(instance: Instance, assignment: DeterministicAssignment) -> PropertyReport:
     """True iff every item that is somebody's first choice goes to such an agent."""
+    _check_shape(instance, assignment)
     holders = assignment.holders
     if None in holders:
         raise InputError("first-choice maximality is checked on complete assignments")

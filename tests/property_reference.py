@@ -1,9 +1,12 @@
-"""The set-based acyclicity checkers the package's bitmask versions replaced.
+"""The set-based acyclicity checkers the package's bitmask versions replaced,
+and the `Fraction` brute-force Pareto check that `oracle.pe_bruteforce`
+replaced.
 
 Each checker builds a dict of successor sets, one agent at a time, and
-`_first_cycle` sorts every vertex's successors before it walks them.  Tests
-compare the package's reports (verdict and cycle witness) against these for
-equality.
+`_first_cycle` sorts every vertex's successors before it walks them.
+`pe_bruteforce` compares every changed agent's indicator rows with
+`lex_dominates`.  Tests compare the package's reports (verdict and cycle
+witness) and brute-force verdicts against these for equality.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from fairassign.model import (
     InputError,
     Instance,
     RandomAssignment,
+    lex_dominates,
 )
+from fairassign.oracle import DEFAULT_ENUM_CAP, enumerate_assignments
 from fairassign.properties import PropertyReport
 
 
@@ -101,3 +106,25 @@ def check_sde_acyclic(
     if cycle is None:
         return PropertyReport("sde", True)
     return PropertyReport("sde", False, _cycle_witness(instance, cycle))
+
+
+def pe_bruteforce(
+    instance: Instance, assignment: DeterministicAssignment, cap: int = DEFAULT_ENUM_CAP
+) -> bool:
+    """Pareto efficiency by exhaustion: no reallocation lexicographically
+    improves a nonempty agent set while leaving everyone else's bundle intact."""
+    if not assignment.is_complete:
+        raise InputError("Pareto efficiency is checked on complete assignments")
+    base = [assignment.indicator(j) for j in range(instance.agent_count)]
+    for candidate in enumerate_assignments(instance, cap=cap):
+        # an agent's bundle changes exactly when an item moves to or from it
+        moves = [pair for pair in zip(candidate.holders, assignment.holders) if pair[0] != pair[1]]
+        changed = {j for pair in moves for j in pair}
+        if not changed:
+            continue
+        if all(
+            lex_dominates(instance.pref_order[j], candidate.indicator(j), base[j])
+            for j in changed
+        ):
+            return False
+    return True

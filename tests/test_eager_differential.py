@@ -4,6 +4,7 @@ impartial-culture, identical and near-identical profiles: equal expected
 matrices and equal lotteries, `Fraction` for `Fraction`, and equal seeded
 samples, round by round."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,17 +15,42 @@ from branch_oracle import (
     lottery_as_bundles,
     sample_rounds,
 )
+from fairassign.oracle import instance_from_orders
 from profile_strategies import profiles
+
+
+def _assert_expected_matches_branch_oracle(instance):
+    shares = expected_shares(instance)
+    reference = tuple(
+        tuple(shares[agent.name][item] for item in instance.items) for agent in instance.agents
+    )
+    matrix = fa.gebm_expected(instance)
+    assert matrix.rows == reference
+    # the canonical form: scale is the lcm of the reduced denominators
+    canonical = fa.RandomAssignment(reference)
+    assert (matrix.scale, matrix.numerators) == (canonical.scale, canonical.numerators)
 
 
 @settings(max_examples=150, deadline=None)
 @given(profiles(max_agents=4, max_items=7))
 def test_expected_matches_branch_oracle(instance):
-    shares = expected_shares(instance)
-    reference = tuple(
-        tuple(shares[agent.name][item] for item in instance.items) for agent in instance.agents
-    )
-    assert fa.gebm_expected(instance).rows == reference
+    _assert_expected_matches_branch_oracle(instance)
+
+
+@pytest.mark.parametrize(
+    "orders, item_count",
+    [
+        ([[0, 1, 2, 3]] * 3, 4),  # identical 3x4
+        # near-identical 4x5
+        ([[0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [0, 1, 3, 2, 4], [0, 2, 1, 3, 4]], 5),
+        ([[0, 1, 2], [0, 1, 2], [0, 2, 1], [1, 0, 2]], 3),  # n > m
+    ],
+)
+def test_expected_scale_where_group_sizes_differ_between_states(orders, item_count):
+    """Group sizes differ from state to state here, so the scale of the
+    masses grows at more than one state; in the identical and n > m cases it
+    ends at twice the canonical scale, which the output must still carry."""
+    _assert_expected_matches_branch_oracle(instance_from_orders(orders, item_count))
 
 
 @settings(max_examples=150, deadline=None)

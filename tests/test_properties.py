@@ -4,7 +4,7 @@ import pytest
 
 import fairassign as fa
 from fairassign.model import InputError
-from fairassign.oracle import instance_from_orders
+from fairassign.oracle import instance_from_orders, pe_bruteforce
 
 F = Fraction
 
@@ -182,6 +182,21 @@ def test_sd_envy_checks_reject_mismatched_shapes(two_agent):
         for check in (fa.check_sd_wef, fa.check_sd_ef, fa.check_sde_acyclic):
             with pytest.raises(InputError, match="shape"):
                 check(two_agent, matrix)
+
+
+def test_deterministic_checkers_reject_mismatched_shapes():
+    # without the shape check, check_pe_acyclic passes `narrow` and `short`,
+    # check_fcm passes `wide` and `tall`, and pe_bruteforce passes `short`
+    instance = instance_from_orders([[0, 1, 2], [1, 0, 2]], 3)
+    narrow = fa.DeterministicAssignment.from_bundles(2, 2, {0: [0, 1]})
+    wide = fa.DeterministicAssignment.from_bundles(2, 4, {0: [0, 3], 1: [1, 2]})
+    tall = fa.DeterministicAssignment.from_bundles(3, 3, {0: [0], 1: [1], 2: [2]})
+    short = fa.DeterministicAssignment.from_bundles(1, 3, {0: [0, 1, 2]})
+    for assignment in (narrow, wide, tall, short):
+        assert assignment.is_complete
+        for check in (fa.check_pe_acyclic, fa.check_fcm, fa.check_ef1, pe_bruteforce):
+            with pytest.raises(InputError, match="shape does not match the instance"):
+                check(instance, assignment)
 
 
 def test_sd_ef_implies_sd_wef(two_agent, four_agent, conflict):

@@ -3,7 +3,9 @@
 near-identical profiles: equal `PropertyReport`s, verdict and cycle witness,
 for Pareto efficiency on complete assignments (random ones, and gebm samples
 with the agents' bundles permuted, which are often cyclic) and for ex-ante
-efficiency on fully allocating and on partial share matrices."""
+efficiency on fully allocating and on partial share matrices.  The
+rank-bitmask `pe_bruteforce` is compared with the `Fraction` one it replaced
+on the same kinds of assignments."""
 
 import random
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import fairassign as fa
 import property_reference as reference
-from fairassign.oracle import instance_from_orders
+from fairassign.oracle import instance_from_orders, pe_bruteforce
 from profile_strategies import fully_allocating, profiles
 
 
@@ -93,9 +95,47 @@ def test_pe_differential_covers_cyclic_assignments():
 
 def test_pe_rejects_incomplete_assignments_like_reference(two_agent):
     assignment = _from_holders(two_agent, [0, 1, None, 0])
-    for checker in (fa.check_pe_acyclic, reference.check_pe_acyclic):
+    for checker in (
+        fa.check_pe_acyclic,
+        reference.check_pe_acyclic,
+        pe_bruteforce,
+        reference.pe_bruteforce,
+    ):
         with pytest.raises(fa.InputError, match="complete assignments"):
             checker(two_agent, assignment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles(max_agents=3, max_items=6), st.integers(0, 2**64 - 1), st.data())
+def test_pe_bruteforce_matches_reference(instance, seed, data):
+    permutation = data.draw(st.permutations(range(instance.agent_count)))
+    for assignment in (
+        data.draw(complete(instance)),
+        _permuted_sample(instance, seed, permutation),
+    ):
+        assert pe_bruteforce(instance, assignment) == reference.pe_bruteforce(
+            instance, assignment
+        )
+
+
+def test_pe_bruteforce_differential_covers_both_verdicts():
+    """On seeded impartial-culture profiles, every gebm sample is efficient
+    and random complete assignments reach both verdicts; every verdict equals
+    the reference's."""
+    rng = random.Random(2025)
+    sampled, drawn = [], []
+    for _ in range(100):
+        n, m = rng.randint(2, 3), rng.randint(2, 6)
+        instance = instance_from_orders([rng.sample(range(m), m) for _ in range(n)], m)
+        for verdicts, assignment in (
+            (sampled, fa.gebm_sample(instance, rng.getrandbits(64)).total),
+            (drawn, _from_holders(instance, [rng.randrange(n) for _ in range(m)])),
+        ):
+            verdict = pe_bruteforce(instance, assignment)
+            assert verdict == reference.pe_bruteforce(instance, assignment)
+            verdicts.append(verdict)
+    assert all(sampled)
+    assert 20 <= sum(drawn) <= 80  # of 100
 
 
 @settings(max_examples=300, deadline=None)
