@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -317,13 +318,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    _, decomposed = decomposition.gpbm_lottery(instance)
-    doc = {
-        "kind": "decomposed_lottery",
-        "mechanism": "gpbm",
-        "atoms": _decomposed_payload(instance, decomposed),
-    }
-    _write_json(args.out, doc)
+    kind, fields = RUN_MODES["gpbm"]["lottery"](instance, args)
+    _write_json(args.out, {"kind": kind, "mechanism": "gpbm", **fields})
     return 0
 
 
@@ -507,15 +503,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if out is not None and not isinstance(out, str):
         raise InputError('config "out" must be a file path')
     rows = run_experiment(config)
-    if out is None or out == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=EXPERIMENT_CSV_COLUMNS)
+    to_stdout = out is None or out == "-"
+    with nullcontext(sys.stdout) if to_stdout else open(out, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=EXPERIMENT_CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    else:
-        with open(out, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=EXPERIMENT_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
     return 0
 
 

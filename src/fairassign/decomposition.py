@@ -208,10 +208,10 @@ class DecomposedLottery:
         rounds = self.source.round_count
         # rows are agent-major, so round c's subagents are rows c, c + rounds, ...
         return tuple(
-            DeterministicAssignment.from_matching(
+            DeterministicAssignment.from_bundles(
                 self.source.agent_count,
                 self.source.item_count,
-                {j: o for j, o in enumerate(matching[c::rounds]) if o is not None},
+                {j: (o,) for j, o in enumerate(matching[c::rounds]) if o is not None},
             )
             for c in range(rounds)
         )

@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InputError(ValueError):
@@ -124,6 +123,8 @@ class Instance:
 
         `order` lists item indices from most to least preferred.
         """
+        if not 0 <= agent < self.agent_count:
+            raise InputError(f"agent index {agent} out of range")
         if sorted(order) != list(range(self.item_count)):
             raise InputError("replacement order is not a permutation of the item indices")
         prefs = tuple(self.items[o] for o in order)
@@ -197,42 +198,7 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# Preference queries and dominance relations
-
-
-def rank(instance: Instance, agent: int, item: int, subset: Iterable[int]) -> int:
-    """1-based rank of `item` among `subset` under the agent's order.
-
-    With `subset` equal to the full item set this is the global rank.
-    """
-    sub = set(subset)
-    if not sub <= set(range(instance.item_count)):
-        raise InputError("subset contains unknown item indices")
-    if item not in sub:
-        raise InputError(f"item index {item} is not in the queried subset")
-    ranks = instance.global_rank[agent]
-    return 1 + sum(1 for o in sub if ranks[o] < ranks[item])
-
-
-def top(instance: Instance, agent: int, subset: Iterable[int]) -> int:
-    """The unique item of `subset` the agent ranks highest within it."""
-    sub = set(subset)
-    if not sub:
-        raise InputError("cannot take the top of an empty item subset")
-    if not sub <= set(range(instance.item_count)):
-        raise InputError("subset contains unknown item indices")
-    ranks = instance.global_rank[agent]
-    return min(sub, key=ranks.__getitem__)
-
-
-def upper_contour(order: Sequence[int], item: int) -> frozenset[int]:
-    """Items weakly preferred to `item` under `order` (most preferred first)."""
-    contour: list[int] = []
-    for o in order:
-        contour.append(o)
-        if o == item:
-            return frozenset(contour)
-    raise InputError(f"unknown item index {item}")
+# Dominance relations
 
 
 def _check_comparison(order: Sequence[int], p: Sequence[Fraction], q: Sequence[Fraction]) -> None:
@@ -274,9 +240,9 @@ def lex_dominates(order: Sequence[int], p: Sequence[Fraction], q: Sequence[Fract
 @dataclass(frozen=True, init=False)
 class DeterministicAssignment:
     """A concrete allocation, each item held at most once, stored as `holders`
-    (item -> agent index, or None if unallocated); the binary n x m `rows`, the
-    bundles and the indicators derive from it.  Equality and hashing use
-    (agent_count, holders), which is equivalent to comparing `rows`."""
+    (item -> agent index, or None if unallocated); the binary n x m `rows` and
+    the bundles derive from it.  Equality and hashing use (agent_count,
+    holders), which is equivalent to comparing `rows`."""
 
     agent_count: int
     holders: tuple[int | None, ...]
@@ -311,10 +277,6 @@ class DeterministicAssignment:
         return out
 
     @classmethod
-    def zero(cls, agent_count: int, item_count: int) -> "DeterministicAssignment":
-        return cls._from_holders(agent_count, (None,) * item_count)
-
-    @classmethod
     def from_bundles(
         cls, agent_count: int, item_count: int, bundles: Mapping[int, Iterable[int]]
     ) -> "DeterministicAssignment":
@@ -329,12 +291,6 @@ class DeterministicAssignment:
                     raise InputError(f"item column {o} is allocated more than once")
                 holders[o] = j
         return cls._from_holders(agent_count, tuple(holders))
-
-    @classmethod
-    def from_matching(
-        cls, agent_count: int, item_count: int, matching: Mapping[int, int]
-    ) -> "DeterministicAssignment":
-        return cls.from_bundles(agent_count, item_count, {j: (o,) for j, o in matching.items()})
 
     @property
     def item_count(self) -> int:
@@ -360,9 +316,6 @@ class DeterministicAssignment:
     def is_matching(self) -> bool:
         held = [j for j in self.holders if j is not None]
         return len(held) == len(set(held))
-
-    def indicator(self, agent: int) -> tuple[Fraction, ...]:
-        return tuple(ONE if j == agent else ZERO for j in self.holders)
 
     def to_random(self) -> "RandomAssignment":
         return RandomAssignment._from_scaled(1, self.rows)
@@ -463,9 +416,6 @@ class RandomAssignment:
     def entry(self, agent: int, item: int) -> Fraction:
         return Fraction(self.numerators[agent][item], self.scale)
 
-    def column_sum(self, item: int) -> Fraction:
-        return Fraction(sum(row[item] for row in self.numerators), self.scale)
-
     @cached_property
     def is_fully_allocating(self) -> bool:
         return all(sum(column) == self.scale for column in zip(*self.numerators))
@@ -536,12 +486,6 @@ class Lottery:
                     numerators[j][o] += weight
         return RandomAssignment._from_scaled(scale, numerators)
 
-    def probability_of(self, assignment: DeterministicAssignment) -> Fraction:
-        for prob, atom in self.atoms:
-            if atom == assignment:
-                return prob
-        return ZERO
-
 
 @dataclass(frozen=True)
 class RoundDecomposition:
@@ -605,20 +549,15 @@ def _permute_columns(rows: tuple[tuple, ...], perm: Mapping[int, int]) -> tuple[
     return tuple(tuple(row[o] for o in source) for row in rows)
 
 
-def permute_deterministic(
-    assignment: DeterministicAssignment, perm: Mapping[int, int]
-) -> DeterministicAssignment:
-    (holders,) = _permute_columns((assignment.holders,), perm)
-    return DeterministicAssignment._from_holders(assignment.agent_count, holders)
-
-
 def permute_random(matrix: RandomAssignment, perm: Mapping[int, int]) -> RandomAssignment:
     return RandomAssignment._from_scaled(matrix.scale, _permute_columns(matrix.numerators, perm))
 
 
 def permute_lottery(lottery: Lottery, perm: Mapping[int, int]) -> Lottery:
+    holders = _permute_columns([a.holders for _, a in lottery.atoms], perm)
     return Lottery.of(
-        (prob, permute_deterministic(assignment, perm)) for prob, assignment in lottery.atoms
+        (prob, DeterministicAssignment._from_holders(a.agent_count, h))
+        for (prob, a), h in zip(lottery.atoms, holders)
     )
 
 

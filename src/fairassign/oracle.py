@@ -18,7 +18,6 @@ from typing import Iterator, Mapping, Sequence
 
 from .mechanisms import DEFAULT_BRANCH_CAP, gebm_expected, gebm_lottery, gpbm
 from .model import (
-    Agent,
     DeterministicAssignment,
     InputError,
     Instance,
@@ -42,21 +41,11 @@ def default_item_names(item_count: int) -> tuple[str, ...]:
     return tuple(f"o{i + 1:0{width}d}" for i in range(item_count))
 
 
-def default_agent_names(agent_count: int) -> tuple[str, ...]:
-    return tuple(str(j + 1) for j in range(agent_count))
-
-
 def instance_from_orders(orders: Sequence[Sequence[int]], item_count: int) -> Instance:
-    """Build an instance from index-level preference orders."""
+    """Build an instance from index-level preference orders; agents are named
+    "1", "2", ... in order."""
     items = default_item_names(item_count)
-    names = default_agent_names(len(orders))
-    return Instance(
-        items,
-        tuple(
-            Agent(name, tuple(items[o] for o in order))
-            for name, order in zip(names, orders)
-        ),
-    )
+    return Instance.from_prefs([[items[o] for o in order] for order in orders], items)
 
 
 # ---------------------------------------------------------------------------
@@ -64,26 +53,14 @@ def instance_from_orders(orders: Sequence[Sequence[int]], item_count: int) -> In
 
 
 def enumerate_assignments(
-    instance: Instance, balanced_only: bool = False, cap: int = DEFAULT_ENUM_CAP
+    instance: Instance, cap: int = DEFAULT_ENUM_CAP
 ) -> Iterator[DeterministicAssignment]:
-    """Every complete assignment (all n^m functions items -> agents).
-
-    With `balanced_only`, keeps only assignments whose bundle sizes are all
-    floor(m/n) or ceil(m/n).
-    """
+    """Every complete assignment (all n^m functions items -> agents)."""
     n = instance.agent_count
     m = instance.item_count
     if n**m > cap:
         raise SizeLimitError(f"enumeration of {n}^{m} assignments exceeds the cap {cap}")
-    low = m // n
-    high = -(-m // n)
     for owners in itertools.product(range(n), repeat=m):
-        if balanced_only:
-            counts = [0] * n
-            for j in owners:
-                counts[j] += 1
-            if any(c < low or c > high for c in counts):
-                continue
         yield DeterministicAssignment._from_holders(n, owners)
 
 

@@ -123,6 +123,7 @@ def check_sde_acyclic(
 
 def fcm_count(instance: Instance, assignment: DeterministicAssignment) -> int:
     """How many agents hold their global first choice."""
+    _check_shape(instance, assignment)
     holders = assignment.holders
     return sum(holders[o] == j for j, o in enumerate(instance.first_choices))
 
@@ -248,6 +249,7 @@ def check_fhr(
     of o_j ranks it at least as high as the other agent does, or the other
     agent ranks its own item strictly above o_j.  Ranks are computed within
     `ranking_domain` (the full item set by default)."""
+    _check_shape(instance, assignment)
     domain = (
         frozenset(range(instance.item_count))
         if ranking_domain is None
@@ -292,6 +294,7 @@ def check_feri(
     agent whose own match is not in an earlier tier.  Every tier item must be
     held by an agent whose favourite remaining item it is.
     """
+    _check_shape(instance, matching)
     domain = frozenset(item_domain)
     if not domain <= frozenset(range(instance.item_count)):
         raise InputError("item domain contains unknown item indices")

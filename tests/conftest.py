@@ -1,4 +1,11 @@
+import sys
+
 import pytest
+
+# Set before fairassign is imported: a test run leaves no bytecode cache in
+# src/, and a tree holding one starts faster, which skews bench comparisons
+# between trees.
+sys.dont_write_bytecode = True
 
 from fairassign import Instance
 

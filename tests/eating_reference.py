@@ -146,16 +146,21 @@ def sd_envy_witnesses(instance, rows):
     return weak, strong
 
 
+def _indicator(assignment, agent):
+    """Agent's 0/1 row of a deterministic assignment, as `Fraction`s."""
+    return tuple(ONE if h == agent else ZERO for h in assignment.holders)
+
+
 def ef1_witness(instance, assignment):
     """First (envious, envied) agent-index pair violating envy-freeness up to
     one item, or None: every removal of one envied item is tried in turn."""
     for j in range(instance.agent_count):
         order = instance.pref_order[j]
-        own = assignment.indicator(j)
+        own = _indicator(assignment, j)
         for k in range(instance.agent_count):
             if j == k or not assignment.bundles[k]:
                 continue
-            envied = assignment.indicator(k)
+            envied = _indicator(assignment, k)
             if not any(
                 sd_dominates(order, own, envied[:o] + (ZERO,) + envied[o + 1 :])
                 for o in sorted(assignment.bundles[k])

@@ -4,13 +4,14 @@ replaced.
 
 Each checker builds a dict of successor sets, one agent at a time, and
 `_first_cycle` sorts every vertex's successors before it walks them.
-`pe_bruteforce` compares every changed agent's indicator rows with
-`lex_dominates`.  Tests compare the package's reports (verdict and cycle
-witness) and brute-force verdicts against these for equality.
+`pe_bruteforce` compares every changed agent's indicator rows, built from
+`holders`, with `lex_dominates`.  Tests compare the package's reports (verdict
+and cycle witness) and brute-force verdicts against these for equality.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from fairassign.model import (
@@ -108,6 +109,11 @@ def check_sde_acyclic(
     return PropertyReport("sde", False, _cycle_witness(instance, cycle))
 
 
+def _indicator(assignment: DeterministicAssignment, agent: int) -> tuple[Fraction, ...]:
+    """Agent's 0/1 row of the assignment, as `Fraction`s."""
+    return tuple(Fraction(h == agent) for h in assignment.holders)
+
+
 def pe_bruteforce(
     instance: Instance, assignment: DeterministicAssignment, cap: int = DEFAULT_ENUM_CAP
 ) -> bool:
@@ -115,7 +121,7 @@ def pe_bruteforce(
     improves a nonempty agent set while leaving everyone else's bundle intact."""
     if not assignment.is_complete:
         raise InputError("Pareto efficiency is checked on complete assignments")
-    base = [assignment.indicator(j) for j in range(instance.agent_count)]
+    base = [_indicator(assignment, j) for j in range(instance.agent_count)]
     for candidate in enumerate_assignments(instance, cap=cap):
         # an agent's bundle changes exactly when an item moves to or from it
         moves = [pair for pair in zip(candidate.holders, assignment.holders) if pair[0] != pair[1]]
@@ -123,7 +129,7 @@ def pe_bruteforce(
         if not changed:
             continue
         if all(
-            lex_dominates(instance.pref_order[j], candidate.indicator(j), base[j])
+            lex_dominates(instance.pref_order[j], _indicator(candidate, j), base[j])
             for j in changed
         ):
             return False

@@ -134,11 +134,9 @@ def test_ef1_witness_replay(identical):
     report = fa.check_ef1(identical, assignment)
     j = identical.agent_index[report.witness["envious"]]
     k = identical.agent_index[report.witness["envied"]]
-    own = assignment.indicator(j)
+    own = tuple(F(h == j) for h in assignment.holders)
     for removed in assignment.bundles[k]:
-        reduced = tuple(
-            v if o != removed else F(0) for o, v in enumerate(assignment.indicator(k))
-        )
+        reduced = tuple(F(h == k and o != removed) for o, h in enumerate(assignment.holders))
         assert not fa.sd_dominates(identical.pref_order[j], own, reduced)
 
 
@@ -186,7 +184,9 @@ def test_sd_envy_checks_reject_mismatched_shapes(two_agent):
 
 def test_deterministic_checkers_reject_mismatched_shapes():
     # without the shape check, check_pe_acyclic passes `narrow` and `short`,
-    # check_fcm passes `wide` and `tall`, and pe_bruteforce passes `short`
+    # check_fcm passes `wide` and `tall`, pe_bruteforce passes `short`,
+    # check_fhr passes `narrow` and `tall`, check_feri passes `tall`, and
+    # fcm_count returns a count for all four; the rest fail with other errors
     instance = instance_from_orders([[0, 1, 2], [1, 0, 2]], 3)
     narrow = fa.DeterministicAssignment.from_bundles(2, 2, {0: [0, 1]})
     wide = fa.DeterministicAssignment.from_bundles(2, 4, {0: [0, 3], 1: [1, 2]})
@@ -194,7 +194,16 @@ def test_deterministic_checkers_reject_mismatched_shapes():
     short = fa.DeterministicAssignment.from_bundles(1, 3, {0: [0, 1, 2]})
     for assignment in (narrow, wide, tall, short):
         assert assignment.is_complete
-        for check in (fa.check_pe_acyclic, fa.check_fcm, fa.check_ef1, pe_bruteforce):
+        checks = (
+            fa.check_pe_acyclic,
+            fa.check_fcm,
+            fa.check_ef1,
+            pe_bruteforce,
+            fa.check_fhr,
+            lambda inst, a: fa.check_feri(inst, a, range(inst.item_count)),
+            fa.fcm_count,
+        )
+        for check in checks:
             with pytest.raises(InputError, match="shape does not match the instance"):
                 check(instance, assignment)
 
@@ -261,7 +270,7 @@ def test_feri_violation(two_agent):
 
 
 def test_feri_empty_domain(two_agent):
-    empty = fa.DeterministicAssignment.zero(2, 4)
+    empty = fa.DeterministicAssignment.from_bundles(2, 4, {})
     assert fa.check_feri(two_agent, empty, []).verdict
 
 
