@@ -400,9 +400,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # mechanism -> trial(instance, seed) returning one realized assignment
 EXPERIMENT_TRIALS = {
     "gebm": lambda instance, seed: mechanisms.gebm_sample(instance, seed).total,
-    "gpbm": lambda instance, seed: decomposition.sample_realization(
-        decomposition.gpbm_lottery(instance)[1], seed
-    ).assignment,
+    "gpbm": lambda instance, seed: (bvn := decomposition.gpbm_lottery(instance)[1]).atom_assignment(
+        decomposition.sample_realization(bvn, seed)
+    ),
     "rsdq": lambda instance, seed: mechanisms.rsdq(
         instance, _shuffled_orders(1, instance.agent_count, seed)[0]
     ),

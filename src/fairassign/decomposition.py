@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 from .mechanisms import ModularRng, gpbm
 from .model import (
@@ -23,14 +23,12 @@ from .model import (
     InputError,
     Instance,
     Lottery,
-    RandomAssignment,
     RoundDecomposition,
     _canonical,
-    _integer_form,
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SubagentMatrix:
     """Row-stochastic expansion of per-round shares over (agent, round) pairs.
 
@@ -38,8 +36,9 @@ class SubagentMatrix:
     round-(c+1) shares.  The final column is the nil share; it is positive only
     in last-round rows and its column total is n * ceil(m/n) - m.
 
-    Stored, like `RandomAssignment`, as one canonical `scale` and integer
-    `numerators`; `entries` builds the `Fraction` rows on request.
+    Stored, like `RandomAssignment`, as one `scale` and integer `numerators`
+    (entry (row, col) is numerators[row][col] / scale), brought to canonical
+    form on construction; `entries` builds the `Fraction` rows on request.
     """
 
     scale: int
@@ -48,53 +47,27 @@ class SubagentMatrix:
     round_count: int
     item_count: int
 
-    def __init__(
-        self,
-        entries: Sequence[Sequence[Fraction | int | str]],
-        agent_count: int,
-        round_count: int,
-        item_count: int,
-    ) -> None:
-        self._validate(*_integer_form(entries), agent_count, round_count, item_count)
-
-    @classmethod
-    def _from_scaled(
-        cls, scale: int, numerators: Sequence[Sequence[int]], *shape: int
-    ) -> "SubagentMatrix":
-        """The matrix with entries numerators[row][col] / scale; `shape` is
-        (agent_count, round_count, item_count)."""
-        out = object.__new__(cls)
-        out._validate(scale, numerators, *shape)
-        return out
-
-    def _validate(
-        self,
-        scale: int,
-        numerators: Sequence[Sequence[int]],
-        agent_count: int,
-        round_count: int,
-        item_count: int,
-    ) -> None:
-        """Check the integer form and store it in canonical form.  Every row and
-        every item column sums to one, so the nil column sums to rows - m."""
-        if len(numerators) != agent_count * round_count:
+    def __post_init__(self) -> None:
+        """Every row and every item column sums to one, so the nil column sums
+        to rows - m."""
+        scale, numerators = self.scale, self.numerators
+        if scale < 1:
+            raise InputError("subagent matrix scale must be at least 1")
+        if len(numerators) != self.agent_count * self.round_count:
             raise InputError("subagent matrix has the wrong number of rows")
         for row in numerators:
-            if len(row) != item_count + 1:
+            if len(row) != self.item_count + 1:
                 raise InputError("subagent rows must have one column per item plus nil")
             if min(row) < 0:
                 raise InputError("subagent shares must be nonnegative")
             if sum(row) != scale:
                 raise InputError("every subagent row must sum to exactly 1")
-        for o in range(item_count):
+        for o in range(self.item_count):
             if sum(row[o] for row in numerators) != scale:
                 raise InputError(f"item column {o} must sum to exactly 1")
         scale, numerators = _canonical(scale, numerators)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "agent_count", agent_count)
-        object.__setattr__(self, "round_count", round_count)
-        object.__setattr__(self, "item_count", item_count)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -102,11 +75,9 @@ class SubagentMatrix:
         return tuple(tuple(Fraction(v, scale) for v in row) for row in self.numerators)
 
 
-def expand_subagents(per_round: Sequence[RandomAssignment]) -> SubagentMatrix:
+def expand_subagents(per_round: RoundDecomposition) -> SubagentMatrix:
     """Stack per-round share rows into subagent rows, topping up with nil."""
-    stages = list(per_round.rounds) if isinstance(per_round, RoundDecomposition) else list(per_round)
-    if not stages:
-        raise InputError("need at least one round matrix")
+    stages = per_round.rounds
     n = stages[0].agent_count
     m = stages[0].item_count
     rounds = len(stages)
@@ -120,8 +91,6 @@ def expand_subagents(per_round: Sequence[RandomAssignment]) -> SubagentMatrix:
             factor = factors[c]
             row = [v * factor for v in stage.numerators[j]]
             consumed = sum(row)
-            if consumed > scale:
-                raise InputError(f"agent {j} consumed more than one unit in round {c + 1}")
             if c < last and consumed != scale:
                 raise InputError(
                     f"agent {j} consumed {Fraction(consumed, scale)} in non-final round {c + 1}; "
@@ -129,7 +98,7 @@ def expand_subagents(per_round: Sequence[RandomAssignment]) -> SubagentMatrix:
                 )
             row.append(scale - consumed)
             rows.append(row)
-    return SubagentMatrix._from_scaled(scale, rows, n, rounds, m)
+    return SubagentMatrix(scale, rows, n, rounds, m)
 
 
 @dataclass(frozen=True)
@@ -144,7 +113,6 @@ class DecomposedLottery:
 
     source: SubagentMatrix
     atoms: tuple[tuple[Fraction, tuple[int | None, ...]], ...]
-    projected: Lottery
 
     def __post_init__(self) -> None:
         m = self.source.item_count
@@ -193,6 +161,13 @@ class DecomposedLottery:
                     raise InputError(
                         "coefficient-weighted matchings do not reconstruct the matrix"
                     )
+
+    @cached_property
+    def projected(self) -> Lottery:
+        return Lottery.of(
+            (coefficient, _merge_subagents(self.source, matching))
+            for coefficient, matching in self.atoms
+        )
 
     @property
     def atom_count(self) -> int:
@@ -340,10 +315,7 @@ def birkhoff_decompose(matrix: SubagentMatrix) -> DecomposedLottery:
         )
         for coefficient, matching in raw_atoms
     )
-    projected = Lottery.of(
-        (coefficient, _merge_subagents(matrix, matching)) for coefficient, matching in atoms
-    )
-    return DecomposedLottery(matrix, atoms, projected)
+    return DecomposedLottery(matrix, atoms)
 
 
 def _merge_subagents(
@@ -357,33 +329,16 @@ def _merge_subagents(
     return DeterministicAssignment._from_holders(matrix.agent_count, tuple(holders))
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sampled draw: the assignment plus its recovered round structure."""
-
-    atom_index: int
-    assignment: DeterministicAssignment
-    round_matchings: RoundDecomposition
-    round_item_sets: tuple[frozenset[int], ...]
-
-
-def sample_realization(decomposed: DecomposedLottery, seed: int) -> Realization:
-    """Draw one atom with probability equal to its coefficient."""
+def sample_realization(decomposed: DecomposedLottery, seed: int) -> int:
+    """The index of one atom, drawn with probability equal to its coefficient."""
     rng = ModularRng(seed)
     u = rng.unit()
     cumulative = ZERO
-    index = decomposed.atom_count - 1
     for i, (coefficient, _) in enumerate(decomposed.atoms):
         cumulative += coefficient
         if u < cumulative:
-            index = i
-            break
-    return Realization(
-        index,
-        decomposed.atom_assignment(index),
-        RoundDecomposition(decomposed.atom_round_matchings(index)),
-        decomposed.atom_round_item_sets(index),
-    )
+            return i
+    return decomposed.atom_count - 1
 
 
 def gpbm_lottery(instance: Instance) -> tuple[Lottery, DecomposedLottery]:

@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .model import (
@@ -82,28 +83,37 @@ class ModularRng:
 
 @dataclass(frozen=True)
 class GebmOutcome:
-    """A realized multi-round run: total assignment plus its round structure."""
+    """A realized multi-round run: its round matchings, from which the total
+    assignment and each round's remaining items derive."""
 
-    total: DeterministicAssignment
     per_round: RoundDecomposition
-    remaining_items_per_round: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        holders: list[int | None] = [None] * self.total.item_count
-        expected_remaining = frozenset(range(self.total.item_count))
-        if len(self.remaining_items_per_round) != self.per_round.round_count:
-            raise InputError("round item sets do not match the round count")
-        for stage, remaining in zip(self.per_round.rounds, self.remaining_items_per_round):
-            if remaining != expected_remaining:
-                raise InputError("round item sets are not nested-decreasing")
-            allocated = {o for o, j in enumerate(stage.holders) if j is not None}
-            if not allocated <= remaining:
-                raise InputError("a round allocated an item outside its remaining set")
-            for o in allocated:
-                holders[o] = stage.holders[o]
-            expected_remaining = remaining - allocated
-        if tuple(holders) != self.total.holders:
-            raise InputError("round matchings do not sum to the total assignment")
+        rounds = self.per_round.rounds
+        allocated = [o for stage in rounds for o, j in enumerate(stage.holders) if j is not None]
+        if len(allocated) != len(set(allocated)):
+            raise InputError("two rounds allocate the same item")
+
+    @cached_property
+    def total(self) -> DeterministicAssignment:
+        """Every round's holders merged into one assignment."""
+        rounds = self.per_round.rounds
+        holders: list[int | None] = [None] * rounds[0].item_count
+        for stage in rounds:
+            for o, j in enumerate(stage.holders):
+                if j is not None:
+                    holders[o] = j
+        return DeterministicAssignment._from_holders(rounds[0].agent_count, tuple(holders))
+
+    @cached_property
+    def remaining_items_per_round(self) -> tuple[frozenset[int], ...]:
+        """The items no earlier round allocated, at the start of each round."""
+        remaining = frozenset(range(self.per_round.rounds[0].item_count))
+        out = []
+        for stage in self.per_round.rounds:
+            out.append(remaining)
+            remaining -= {o for o, j in enumerate(stage.holders) if j is not None}
+        return tuple(out)
 
 
 #: An engine state (round index, active agents, remaining items); the two sets
@@ -159,27 +169,22 @@ def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
     m = instance.item_count
     state = (0, (1 << n) - 1, (1 << m) - 1)
     rounds: list[list[int | None]] = []
-    item_sets: list[frozenset[int]] = []
-    total: list[int | None] = [None] * m
     while state[2]:
-        round_index, _, remaining = state
+        round_index = state[0]
         if round_index == len(rounds):
             rounds.append([None] * m)
-            item_sets.append(frozenset(o for o in range(m) if remaining >> o & 1))
         contested, successor = _engine_pass(instance, state)
         winners = [
             group[rng.below(len(group))] if len(group) > 1 else group[0]
             for _, group in contested
         ]
         for j, (o, _) in zip(winners, contested):
-            rounds[round_index][o] = total[o] = j
+            rounds[round_index][o] = j
         state = successor(winners)
     return GebmOutcome(
-        DeterministicAssignment._from_holders(n, tuple(total)),
         RoundDecomposition(
             tuple(DeterministicAssignment._from_holders(n, tuple(h)) for h in rounds)
-        ),
-        tuple(item_sets),
+        )
     )
 
 
@@ -320,26 +325,17 @@ class ConsumptionStep:
 
 @dataclass(frozen=True)
 class GpbmOutcome:
-    total: RandomAssignment
+    """An eating run: its per-round matrices, whose sum is the total."""
+
     per_round: RoundDecomposition
     supply_trace: tuple[ConsumptionStep, ...] | None = None
 
     def __post_init__(self) -> None:
         total = self.total
-        stages = self.per_round.rounds
-        # every matrix in units of 1/common, so that sums compare as integers
-        common = math.lcm(total.scale, *(stage.scale for stage in stages))
-
-        def flat(matrix: RandomAssignment) -> list[int]:
-            factor = common // matrix.scale
-            return [v * factor for row in matrix.numerators for v in row]
-
-        if list(map(sum, zip(*map(flat, stages)))) != flat(total):
-            raise InputError("per-round matrices do not sum to the total")
         for o, column in enumerate(zip(*total.numerators)):
             if sum(column) != total.scale:
                 raise InputError(f"item column {o} does not sum to 1")
-        for c, stage in enumerate(stages[:-1]):
+        for c, stage in enumerate(self.per_round.rounds[:-1]):
             for j, row in enumerate(stage.numerators):
                 row_sum = sum(row)
                 if row_sum != stage.scale:
@@ -347,6 +343,21 @@ class GpbmOutcome:
                         f"agent {j} consumed {Fraction(row_sum, stage.scale)} "
                         f"in non-final round {c + 1}, expected 1"
                     )
+
+    @cached_property
+    def total(self) -> RandomAssignment:
+        """The entrywise sum of the rounds, each brought to their common scale."""
+        stages = self.per_round.rounds
+        scale = math.lcm(*(stage.scale for stage in stages))
+        scaled = [
+            stage.numerators
+            if stage.scale == scale
+            else [[v * (scale // stage.scale) for v in row] for row in stage.numerators]
+            for stage in stages
+        ]
+        return RandomAssignment._from_scaled(
+            scale, [list(map(sum, zip(*agent_rows))) for agent_rows in zip(*scaled)]
+        )
 
 
 def _equal_rate_split(budgets: Sequence[int], supply: int) -> tuple[int, list[int], int]:
@@ -448,13 +459,9 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
             f"eating ran {round_index} rounds, expected {instance.rounds_needed}"
         )
     stages = [[[0] * m for _ in range(n)] for _ in range(round_index)]
-    total = [[0] * m for _ in range(n)]
     for c, j, o, amount, at_scale in eaten:
-        amount *= scale // at_scale
-        stages[c][j][o] = amount
-        total[j][o] += amount
+        stages[c][j][o] = amount * (scale // at_scale)
     return GpbmOutcome(
-        RandomAssignment._from_scaled(scale, total),
         RoundDecomposition(tuple(RandomAssignment._from_scaled(scale, rows) for rows in stages)),
         tuple(trace) if keep_trace else None,
     )

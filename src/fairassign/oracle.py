@@ -29,7 +29,7 @@ from .model import (
     sd_dominates,
     serialize_instance,
 )
-from .properties import PropertyReport, _check_shape, check_sd_ef, check_sde_acyclic, fcm_count
+from .properties import PropertyReport, _check_shape, check_sd_ef, check_sde_acyclic
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -93,7 +93,10 @@ def pe_bruteforce(
 
 def fcm_bruteforce_max(instance: Instance, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Maximal first-choice count over every complete assignment."""
-    return max(fcm_count(instance, a) for a in enumerate_assignments(instance, cap=cap))
+    firsts = tuple(enumerate(instance.first_choices))
+    return max(
+        sum(a.holders[o] == j for j, o in firsts) for a in enumerate_assignments(instance, cap=cap)
+    )
 
 
 # ---------------------------------------------------------------------------

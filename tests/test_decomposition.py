@@ -7,7 +7,6 @@ import pytest
 import fairassign as fa
 from fairassign.decomposition import (
     DecomposedLottery,
-    Realization,
     SubagentMatrix,
     _perfect_matching,
     birkhoff_decompose,
@@ -15,7 +14,7 @@ from fairassign.decomposition import (
     gpbm_lottery,
     sample_realization,
 )
-from fairassign.model import InputError, RandomAssignment
+from fairassign.model import InputError, RandomAssignment, RoundDecomposition
 
 F = Fraction
 
@@ -47,17 +46,18 @@ def test_expand_single_agent():
 
 
 def test_expand_rejects_overfull_rows():
+    # the round decomposition expand_subagents takes rejects the row itself
     bad = RandomAssignment(((F(1), F(1)), (F(0), F(0))))
-    with pytest.raises(InputError):
-        expand_subagents([bad])
+    with pytest.raises(InputError, match="an agent exceeds one unit within a single round"):
+        expand_subagents(RoundDecomposition((bad,)))
 
 
 def test_expand_rejects_underfull_early_round():
     # two rounds, but an early round row does not sum to one
     early = RandomAssignment(((F(1, 2), F(0), F(0)), (F(1, 2), F(0), F(0))))
-    late = RandomAssignment(((F(0), F(1, 2), F(0)), (F(0), F(1, 2), F(1))))
-    with pytest.raises(InputError):
-        expand_subagents([early, late])
+    late = RandomAssignment(((F(0), F(1, 2), F(0)), (F(0), F(1, 2), F(1, 2))))
+    with pytest.raises(InputError, match="consumed 1/2 in non-final round 1"):
+        expand_subagents(RoundDecomposition((early, late)))
 
 
 def test_birkhoff_two_agent(two_agent):
@@ -122,26 +122,25 @@ def test_decomposition_validation_rejects_tampering(two_agent):
     decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
     coeff, matching = decomposed.atoms[0]
     with pytest.raises(InputError):
-        DecomposedLottery(
-            decomposed.source,
-            ((F(1), matching),),  # drops the second atom
-            fa.Lottery.of([(F(1), decomposed.atom_assignment(0))]),
-        )
+        DecomposedLottery(decomposed.source, ((F(1), matching),))  # drops the second atom
 
 
+# entries in integer form: (scale, numerators), entry (row, col) being
+# numerators[row][col] / scale
 @pytest.mark.parametrize(
     "entries,message",
     [
-        (((1, 0, 0),), "subagent matrix has the wrong number of rows"),
-        (((1, 0, 0), (0, 1)), "subagent rows must have one column per item plus nil"),
-        (((F(-1, 2), F(3, 2), 0), (F(3, 2), F(-1, 2), 0)), "subagent shares must be nonnegative"),
-        (((F(1, 2), 0, 0), (F(1, 2), 1, 0)), "every subagent row must sum to exactly 1"),
-        (((1, 0, 0), (1, 0, 0)), "item column 0 must sum to exactly 1"),
+        ((1, ((1, 0, 0),)), "subagent matrix has the wrong number of rows"),
+        ((1, ((1, 0, 0), (0, 1))), "subagent rows must have one column per item plus nil"),
+        ((2, ((-1, 3, 0), (3, -1, 0))), "subagent shares must be nonnegative"),
+        ((2, ((1, 0, 0), (1, 2, 0))), "every subagent row must sum to exactly 1"),
+        ((1, ((1, 0, 0), (1, 0, 0))), "item column 0 must sum to exactly 1"),
+        ((0, ((0, 0, 0), (0, 0, 0))), "subagent matrix scale must be at least 1"),
     ],
 )
 def test_subagent_matrix_messages(entries, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        SubagentMatrix(entries, 2, 1, 2)
+        SubagentMatrix(*entries, 2, 1, 2)
 
 
 def test_decomposed_lottery_messages(two_agent):
@@ -159,12 +158,12 @@ def test_decomposed_lottery_messages(two_agent):
     ]
     for atoms, message in cases:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            DecomposedLottery(decomposed.source, atoms, decomposed.projected)
+            DecomposedLottery(decomposed.source, atoms)
     odd = fa.Instance.from_prefs({"1": ["x", "y", "z"], "2": ["x", "z", "y"]})
     source = expand_subagents(fa.gpbm(odd).per_round)
     # rows: (1/2, 1/2, 0 | 0), (0, 1/2, 0 | 1/2), (1/2, 0, 1/2 | 0), (0, 0, 1/2 | 1/2)
     with pytest.raises(InputError, match="^an atom leaves some item unmatched$"):
-        DecomposedLottery(source, ((F(1), (0, None, 2, None)),), decomposed.projected)
+        DecomposedLottery(source, ((F(1), (0, None, 2, None)),))
 
 
 def test_round_matchings_respect_support(two_agent, four_agent):
@@ -172,10 +171,15 @@ def test_round_matchings_respect_support(two_agent, four_agent):
         outcome = fa.gpbm(inst)
         decomposed = birkhoff_decompose(expand_subagents(outcome.per_round))
         for i in range(decomposed.atom_count):
-            for c, stage in enumerate(decomposed.atom_round_matchings(i)):
+            stages = decomposed.atom_round_matchings(i)
+            for c, stage in enumerate(stages):
                 for j in range(inst.agent_count):
                     for o in stage.bundles[j]:
                         assert outcome.per_round.rounds[c].entry(j, o) > 0
+            # the round matchings sum to the atom's assignment
+            rows = [stage.rows for stage in stages]
+            total = tuple(tuple(map(sum, zip(*agent_rows))) for agent_rows in zip(*rows))
+            assert total == decomposed.atom_assignment(i).rows
 
 
 def test_round_item_sets(two_agent):
@@ -190,27 +194,16 @@ def test_round_item_sets(two_agent):
 
 def test_sample_realization_single_atom(conflict):
     decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(conflict).per_round))
-    draw = sample_realization(decomposed, 11)
-    assert draw.atom_index == 0
-    assert draw.assignment == decomposed.atom_assignment(0)
-
-
-def test_sample_realization_structure(two_agent):
-    decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
-    draw = sample_realization(decomposed, 4)
-    assert isinstance(draw, Realization)
-    stages = [stage.rows for stage in draw.round_matchings.rounds]
-    total = tuple(tuple(map(sum, zip(*agent_rows))) for agent_rows in zip(*stages))
-    assert total == draw.assignment.rows
-    assert draw.round_item_sets == decomposed.atom_round_item_sets(draw.atom_index)
+    assert sample_realization(decomposed, 11) == 0
 
 
 def test_sample_realization_example_draw(two_agent):
     decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
-    draw = sample_realization(decomposed, 0)
-    assert draw.assignment.bundles[0] == frozenset({0, 1})  # 1 gets {a, b}
-    assert draw.assignment.bundles[1] == frozenset({2, 3})
-    first_round = draw.round_matchings.rounds[0]
+    index = sample_realization(decomposed, 0)
+    assignment = decomposed.atom_assignment(index)
+    assert assignment.bundles[0] == frozenset({0, 1})  # 1 gets {a, b}
+    assert assignment.bundles[1] == frozenset({2, 3})
+    first_round = decomposed.atom_round_matchings(index)[0]
     assert first_round.bundles[0] == frozenset({0})  # round 1: 1 <- a
     assert first_round.bundles[1] == frozenset({2})  # round 1: 2 <- c
 
@@ -220,7 +213,7 @@ def test_sample_realization_frequencies(two_agent):
     draws = 100_000
     counts: Counter = Counter()
     for seed in range(draws):
-        counts[sample_realization(decomposed, seed).atom_index] += 1
+        counts[sample_realization(decomposed, seed)] += 1
     for i, (coefficient, _) in enumerate(decomposed.atoms):
         freq = counts[i] / draws
         spread = 3 * (float(coefficient) * (1 - float(coefficient)) / draws) ** 0.5

@@ -101,6 +101,13 @@ def test_sample_round_structure(two_agent):
     assert outcome.remaining_items_per_round[1] == frozenset(range(4)) - allocated_first
 
 
+def test_gebm_outcome_rejects_item_in_two_rounds():
+    first = fa.DeterministicAssignment.from_bundles(2, 4, {0: (0,), 1: (1,)})
+    second = fa.DeterministicAssignment.from_bundles(2, 4, {0: (2,), 1: (0,)})
+    with pytest.raises(InputError, match="^two rounds allocate the same item$"):
+        fa.GebmOutcome(RoundDecomposition((first, second)))
+
+
 def test_lottery_two_agent(two_agent):
     lot = fa.gebm_lottery(two_agent)
     assert lot.atom_count == 4
@@ -292,18 +299,10 @@ def test_eating_trace(two_agent):
         assert outcome.total.entry(j, o) == amount
 
 
-def test_eating_outcome_invariants(two_agent):
-    outcome = fa.gpbm(two_agent)
-    swapped = fa.RandomAssignment((outcome.total.rows[1], outcome.total.rows[0]))
-    with pytest.raises(InputError, match="per-round matrices do not sum to the total"):
-        fa.GpbmOutcome(swapped, outcome.per_round)
-
+def test_eating_outcome_invariants():
     def outcome_of(*rows_per_round):
         stages = tuple(fa.RandomAssignment(rows) for rows in rows_per_round)
-        total = tuple(
-            tuple(map(sum, zip(*agent_rows))) for agent_rows in zip(*rows_per_round)
-        )
-        return fa.GpbmOutcome(fa.RandomAssignment(total), RoundDecomposition(stages))
+        return fa.GpbmOutcome(RoundDecomposition(stages))
 
     h, q = F(1, 2), F(1, 4)
     with pytest.raises(InputError, match="item column 0 does not sum to 1"):
