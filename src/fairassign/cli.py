@@ -149,7 +149,7 @@ def _run_rsdq_sample(instance: Instance, args: argparse.Namespace) -> tuple[str,
     else:
         order = _shuffled_orders(1, instance.agent_count, args.seed)[0]
     return "assignment", {
-        "priority_order": [instance.agents[j].name for j in order],
+        "priority_order": [instance.agent_names[j] for j in order],
         "assignment": assignment_to_payload(instance, mechanisms.rsdq(instance, order, args.quota)),
     }
 
@@ -352,7 +352,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
             _write_json(args.out, {"witness": None})
             return 0
         print(
-            f"witness: agent {instance.agents[witness.agent].name} misreports "
+            f"witness: agent {instance.agent_names[witness.agent]} misreports "
             f"{' > '.join(instance.items[o] for o in witness.misreport)}"
         )
         _write_json(args.out, {"witness": witness.to_payload()})
@@ -400,9 +400,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 # mechanism -> trial(instance, seed) returning one realized assignment
 EXPERIMENT_TRIALS = {
     "gebm": lambda instance, seed: mechanisms.gebm_sample(instance, seed).total,
-    "gpbm": lambda instance, seed: (bvn := decomposition.gpbm_lottery(instance)[1]).atom_assignment(
-        decomposition.sample_realization(bvn, seed)
-    ),
+    "gpbm": lambda instance, seed: (
+        bvn := decomposition.birkhoff_decompose(
+            decomposition.expand_subagents(mechanisms.gpbm(instance, keep_trace=False).per_round)
+        )
+    ).atom_assignment(decomposition.sample_realization(bvn, seed)),
     "rsdq": lambda instance, seed: mechanisms.rsdq(
         instance, _shuffled_orders(1, instance.agent_count, seed)[0]
     ),

@@ -25,6 +25,7 @@ from .model import (
     Lottery,
     RoundDecomposition,
     _canonical,
+    _fraction_rows,
 )
 
 
@@ -53,6 +54,8 @@ class SubagentMatrix:
         scale, numerators = self.scale, self.numerators
         if scale < 1:
             raise InputError("subagent matrix scale must be at least 1")
+        if min(self.agent_count, self.round_count, self.item_count) < 1:
+            raise InputError("a subagent matrix needs at least one agent, round and item")
         if len(numerators) != self.agent_count * self.round_count:
             raise InputError("subagent matrix has the wrong number of rows")
         for row in numerators:
@@ -71,8 +74,7 @@ class SubagentMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        scale = self.scale
-        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.numerators)
+        return _fraction_rows(self.scale, self.numerators)
 
 
 def expand_subagents(per_round: RoundDecomposition) -> SubagentMatrix:

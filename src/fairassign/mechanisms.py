@@ -344,6 +344,15 @@ class GpbmOutcome:
                         f"in non-final round {c + 1}, expected 1"
                     )
 
+    @classmethod
+    def _from_rounds(cls, rounds: tuple, supply_trace: tuple | None) -> "GpbmOutcome":
+        """Skip validation, here and in the round decomposition, for rounds
+        that `gpbm` just computed."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "per_round", RoundDecomposition._from_rounds(rounds))
+        object.__setattr__(out, "supply_trace", supply_trace)
+        return out
+
     @cached_property
     def total(self) -> RandomAssignment:
         """The entrywise sum of the rounds, each brought to their common scale."""
@@ -406,7 +415,9 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     All quantities are integers in units of 1/scale, one scale for the whole
     run.  A split that does not come out whole grows the scale, and the supply
     and budgets with it; the amounts eaten so far keep the scale they were
-    eaten at and are brought to the final scale once, at the end.
+    eaten at and are brought to the final scale once, at the end.  The
+    outcome skips the checks of the public constructors, which its rounds
+    pass by construction.
     """
     n = instance.agent_count
     m = instance.item_count
@@ -461,8 +472,8 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     stages = [[[0] * m for _ in range(n)] for _ in range(round_index)]
     for c, j, o, amount, at_scale in eaten:
         stages[c][j][o] = amount * (scale // at_scale)
-    return GpbmOutcome(
-        RoundDecomposition(tuple(RandomAssignment._from_scaled(scale, rows) for rows in stages)),
+    return GpbmOutcome._from_rounds(
+        tuple(RandomAssignment._from_scaled(scale, rows) for rows in stages),
         tuple(trace) if keep_trace else None,
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,40 +60,69 @@ class Agent:
         object.__setattr__(self, "prefs", tuple(self.prefs))
 
 
-@dataclass(frozen=True)
+def _as_order(order: Iterable[int], item_count: int) -> tuple[int, ...] | None:
+    """`order` as a tuple of item indices, or None when it is not a
+    permutation of range(item_count)."""
+    try:
+        order = tuple(map(operator.index, order))
+    except TypeError:  # an entry that is not an integer
+        return None
+    return order if sorted(order) == list(range(item_count)) else None
+
+
+@dataclass(frozen=True, init=False)
 class Instance:
     """An assignment problem: items plus one strict preference order per agent.
 
     Items and agents are addressed by dense integer indices everywhere in the
     computational API; names appear only in files and reports.  Index order
-    follows construction (file) order.
+    follows construction (file) order.  Stored as the item names, the agent
+    names and `pref_order` (pref_order[j] lists agent j's item indices from
+    most to least preferred); `agents`, with orders by item name, derives
+    from them.  Equality and hashing use the stored fields, which is
+    equivalent to comparing (items, agents).
     """
 
     items: tuple[str, ...]
-    agents: tuple[Agent, ...]
+    agent_names: tuple[str, ...]
+    pref_order: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if not self.items:
+    def __init__(self, items: Sequence[str], agents: Sequence[Agent]) -> None:
+        items = tuple(items)
+        agents = tuple(agents)
+        if not items:
             raise InputError("an instance needs at least one item")
-        if not self.agents:
+        if not agents:
             raise InputError("an instance needs at least one agent")
-        seen_items: set[str] = set()
-        for name in self.items:
-            if name in seen_items:
+        item_index: dict[str, int] = {}
+        for name in items:
+            if name in item_index:
                 raise InputError(f"duplicate item {name!r}")
-            seen_items.add(name)
-        item_set = set(self.items)
+            item_index[name] = len(item_index)
         seen_agents: set[str] = set()
-        for agent in self.agents:
+        orders = []
+        for agent in agents:
             if agent.name in seen_agents:
                 raise InputError(f"duplicate agent {agent.name!r}")
             seen_agents.add(agent.name)
-            if len(agent.prefs) != len(self.items) or set(agent.prefs) != item_set:
+            order = _as_order((item_index.get(name, -1) for name in agent.prefs), len(items))
+            if order is None:
                 raise InputError(
                     f"preferences of agent {agent.name!r} are not a permutation of the item set"
                 )
+            orders.append(order)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "agent_names", tuple(a.name for a in agents))
+        object.__setattr__(self, "pref_order", tuple(orders))
+
+    @classmethod
+    def _from_orders(cls, items: tuple, agent_names: tuple, pref_order: tuple) -> "Instance":
+        """Skip validation for index orders a producer just built or checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "items", items)
+        object.__setattr__(out, "agent_names", agent_names)
+        object.__setattr__(out, "pref_order", pref_order)
+        return out
 
     # -- construction helpers
 
@@ -121,29 +151,37 @@ class Instance:
     def with_agent_order(self, agent: int, order: Sequence[int]) -> "Instance":
         """Copy of this instance with one agent's preference order replaced.
 
-        `order` lists item indices from most to least preferred.
+        `order` lists item indices from most to least preferred.  The other
+        agents' orders are shared with this instance.
         """
         if not 0 <= agent < self.agent_count:
             raise InputError(f"agent index {agent} out of range")
-        if sorted(order) != list(range(self.item_count)):
+        order = _as_order(order, self.item_count)
+        if order is None:
             raise InputError("replacement order is not a permutation of the item indices")
-        prefs = tuple(self.items[o] for o in order)
-        agents = tuple(
-            Agent(a.name, prefs) if j == agent else a for j, a in enumerate(self.agents)
+        orders = self.pref_order[:agent] + (order,) + self.pref_order[agent + 1 :]
+        return Instance._from_orders(self.items, self.agent_names, orders)
+
+    # -- derived views (the dataclass itself stays immutable)
+
+    @cached_property
+    def agents(self) -> tuple[Agent, ...]:
+        """Each agent with its order by item name, for files and reports."""
+        items = self.items
+        return tuple(
+            Agent(name, tuple(items[o] for o in order))
+            for name, order in zip(self.agent_names, self.pref_order)
         )
-        return Instance(self.items, agents)
 
-    # -- derived views (cached; the dataclass itself stays immutable)
-
-    @cached_property
+    @property
     def agent_count(self) -> int:
-        return len(self.agents)
+        return len(self.agent_names)
 
-    @cached_property
+    @property
     def item_count(self) -> int:
         return len(self.items)
 
-    @cached_property
+    @property
     def rounds_needed(self) -> int:
         """ceil(m / n): the round count of the multi-round mechanisms."""
         return -(-self.item_count // self.agent_count)
@@ -154,13 +192,7 @@ class Instance:
 
     @cached_property
     def agent_index(self) -> dict[str, int]:
-        return {a.name: j for j, a in enumerate(self.agents)}
-
-    @cached_property
-    def pref_order(self) -> tuple[tuple[int, ...], ...]:
-        """pref_order[j] lists item indices from most to least preferred."""
-        idx = self.item_index
-        return tuple(tuple(idx[name] for name in a.prefs) for a in self.agents)
+        return {name: j for j, name in enumerate(self.agent_names)}
 
     @cached_property
     def global_rank(self) -> tuple[tuple[int, ...], ...]:
@@ -299,9 +331,11 @@ class DeterministicAssignment:
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The binary n x m matrix, built on request."""
-        return tuple(
-            tuple(int(h == j) for h in self.holders) for j in range(self.agent_count)
-        )
+        rows = [[0] * len(self.holders) for _ in range(self.agent_count)]
+        for o, j in enumerate(self.holders):
+            if j is not None:
+                rows[j][o] = 1
+        return tuple(map(tuple, rows))
 
     @cached_property
     def bundles(self) -> tuple[frozenset[int], ...]:
@@ -344,6 +378,15 @@ def _integer_form(
     rows = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
     scale = math.lcm(*{v.denominator for row in rows for v in row})
     return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+
+
+def _fraction_rows(
+    scale: int, numerators: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows numerators[j][o] / scale as `Fraction`s, one shared object per
+    distinct numerator."""
+    shares = {v: Fraction(v, scale) for v in set(itertools.chain.from_iterable(numerators))}
+    return tuple(tuple(map(shares.__getitem__, row)) for row in numerators)
 
 
 def _canonical(
@@ -407,7 +450,7 @@ class RandomAssignment:
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(map(self.row, range(self.agent_count)))
+        return _fraction_rows(self.scale, self.numerators)
 
     def row(self, agent: int) -> tuple[Fraction, ...]:
         scale = self.scale
@@ -516,6 +559,13 @@ class RoundDecomposition:
             if over:
                 raise InputError("an agent exceeds one unit within a single round")
 
+    @classmethod
+    def _from_rounds(cls, rounds: tuple) -> "RoundDecomposition":
+        """Skip validation for rounds a producer just built itself."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rounds", rounds)
+        return out
+
     @property
     def round_count(self) -> int:
         return len(self.rounds)
@@ -526,20 +576,15 @@ class RoundDecomposition:
 
 
 def _check_permutation(item_count: int, perm: Mapping[int, int]) -> None:
-    if sorted(perm) != list(range(item_count)) or sorted(perm.values()) != list(
-        range(item_count)
-    ):
+    if _as_order(perm, item_count) is None or _as_order(perm.values(), item_count) is None:
         raise InputError("permutation is not a bijection over the item indices")
 
 
 def permute_instance(instance: Instance, perm: Mapping[int, int]) -> Instance:
     """Relabel items inside every preference list (the item set itself is fixed)."""
     _check_permutation(instance.item_count, perm)
-    agents = tuple(
-        Agent(a.name, tuple(instance.items[perm[o]] for o in order))
-        for a, order in zip(instance.agents, instance.pref_order)
-    )
-    return Instance(instance.items, agents)
+    orders = tuple(tuple(perm[o] for o in order) for order in instance.pref_order)
+    return Instance._from_orders(instance.items, instance.agent_names, orders)
 
 
 def _permute_columns(rows: tuple[tuple, ...], perm: Mapping[int, int]) -> tuple[tuple, ...]:
@@ -605,8 +650,8 @@ def assignment_to_payload(
 ) -> dict[str, list[str]]:
     """{"agent": [items...]} with items listed in instance item order."""
     return {
-        instance.agents[j].name: [instance.items[o] for o in sorted(assignment.bundles[j])]
-        for j in range(instance.agent_count)
+        name: [instance.items[o] for o in sorted(assignment.bundles[j])]
+        for j, name in enumerate(instance.agent_names)
     }
 
 

@@ -22,6 +22,7 @@ from .model import (
     InputError,
     Instance,
     SizeLimitError,
+    _as_order,
     format_fraction,
     permute_instance,
     permute_lottery,
@@ -42,10 +43,19 @@ def default_item_names(item_count: int) -> tuple[str, ...]:
 
 
 def instance_from_orders(orders: Sequence[Sequence[int]], item_count: int) -> Instance:
-    """Build an instance from index-level preference orders; agents are named
-    "1", "2", ... in order."""
-    items = default_item_names(item_count)
-    return Instance.from_prefs([[items[o] for o in order] for order in orders], items)
+    """Build an instance from index-level preference orders, each checked to
+    be a permutation of the item indices; agents are named "1", "2", ... in
+    order."""
+    names = tuple(str(j + 1) for j in range(len(orders)))
+    if not names:
+        raise InputError("an instance needs at least one agent")
+    if item_count < 1:
+        raise InputError("an instance needs at least one item")
+    checked = tuple(_as_order(order, item_count) for order in orders)
+    for name, order in zip(names, checked):
+        if order is None:
+            raise InputError(f"preferences of agent {name!r} are not a permutation of the item set")
+    return Instance._from_orders(default_item_names(item_count), names, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +169,7 @@ class SpWitness:
     def to_payload(self) -> dict:
         return {
             "mechanism": self.mechanism,
-            "agent": self.instance.agents[self.agent].name,
+            "agent": self.instance.agent_names[self.agent],
             "true_profile": serialize_instance(self.instance),
             "misreport_profile": serialize_instance(self.misreport_instance()),
             "misreport": [self.instance.items[o] for o in self.misreport],
@@ -314,9 +324,11 @@ def remark1_search(
         raise SizeLimitError(
             f"profile enumeration of {total} profiles exceeds the cap {max_profiles}"
         )
+    items = default_item_names(bound_m)
+    names = tuple(str(j + 1) for j in range(bound_n))
     orders = list(itertools.permutations(range(bound_m)))
     for profile in itertools.product(orders, repeat=bound_n):
-        instance = instance_from_orders(profile, bound_m)
+        instance = Instance._from_orders(items, names, profile)
         expected = gebm_expected(instance)
         for prop, check in REMARK1_CHECKS.items():
             if prop in properties and not check(instance, expected).verdict:

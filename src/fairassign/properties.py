@@ -145,7 +145,7 @@ def check_fcm(instance: Instance, assignment: DeterministicAssignment) -> Proper
             return PropertyReport(
                 "fcm",
                 False,
-                {"item": instance.items[o], "holder": instance.agents[holder].name},
+                {"item": instance.items[o], "holder": instance.agent_names[holder]},
             )
     return PropertyReport("fcm", True)
 
@@ -200,7 +200,7 @@ def _cumulative_gaps(
 
 
 def _envy_witness(instance: Instance, j: int, k: int) -> dict:
-    return {"envious": instance.agents[j].name, "envied": instance.agents[k].name}
+    return {"envious": instance.agent_names[j], "envied": instance.agent_names[k]}
 
 
 def check_sd_wef(instance: Instance, matrix: RandomAssignment) -> PropertyReport:
@@ -274,9 +274,9 @@ def check_fhr(
                             "fhr",
                             False,
                             {
-                                "holder": instance.agents[j].name,
+                                "holder": instance.agent_names[j],
                                 "item": instance.items[o_j],
-                                "other": instance.agents[k].name,
+                                "other": instance.agent_names[k],
                                 "other_item": instance.items[o_k],
                             },
                         )
@@ -327,7 +327,7 @@ def check_feri(
                 return PropertyReport(
                     "feri",
                     False,
-                    {"item": instance.items[o], "holder": instance.agents[holder].name},
+                    {"item": instance.items[o], "holder": instance.agent_names[holder]},
                 )
         served |= tier
         remaining -= tier

@@ -125,22 +125,28 @@ def test_decomposition_validation_rejects_tampering(two_agent):
         DecomposedLottery(decomposed.source, ((F(1), matching),))  # drops the second atom
 
 
-# entries in integer form: (scale, numerators), entry (row, col) being
-# numerators[row][col] / scale
+# entries in integer form with the shape: (scale, numerators, agent_count,
+# round_count, item_count), entry (row, col) being numerators[row][col] / scale
+EMPTY = "a subagent matrix needs at least one agent, round and item"
+
+
 @pytest.mark.parametrize(
     "entries,message",
     [
-        ((1, ((1, 0, 0),)), "subagent matrix has the wrong number of rows"),
-        ((1, ((1, 0, 0), (0, 1))), "subagent rows must have one column per item plus nil"),
-        ((2, ((-1, 3, 0), (3, -1, 0))), "subagent shares must be nonnegative"),
-        ((2, ((1, 0, 0), (1, 2, 0))), "every subagent row must sum to exactly 1"),
-        ((1, ((1, 0, 0), (1, 0, 0))), "item column 0 must sum to exactly 1"),
-        ((0, ((0, 0, 0), (0, 0, 0))), "subagent matrix scale must be at least 1"),
+        ((1, ((1, 0, 0),), 2, 1, 2), "subagent matrix has the wrong number of rows"),
+        ((1, ((1, 0, 0), (0, 1)), 2, 1, 2), "subagent rows must have one column per item plus nil"),
+        ((2, ((-1, 3, 0), (3, -1, 0)), 2, 1, 2), "subagent shares must be nonnegative"),
+        ((2, ((1, 0, 0), (1, 2, 0)), 2, 1, 2), "every subagent row must sum to exactly 1"),
+        ((1, ((1, 0, 0), (1, 0, 0)), 2, 1, 2), "item column 0 must sum to exactly 1"),
+        ((0, ((0, 0, 0), (0, 0, 0)), 2, 1, 2), "subagent matrix scale must be at least 1"),
+        ((1, (), 0, 0, 0), EMPTY),
+        ((1, (), 1, 0, 1), EMPTY),
+        ((1, ((1,),), 1, 1, 0), EMPTY),
     ],
 )
 def test_subagent_matrix_messages(entries, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        SubagentMatrix(*entries, 2, 1, 2)
+        SubagentMatrix(*entries)
 
 
 def test_decomposed_lottery_messages(two_agent):

@@ -33,6 +33,30 @@ def deterministic(draw, instance):
     )
 
 
+def _gpbm(instance, keep_trace=True):
+    """gpbm's outcome, once it is shown to keep the invariants that
+    `GpbmOutcome` and `RoundDecomposition` check on public construction and
+    gpbm's trusted factories skip: ceil(m/n) rounds of the instance's shape;
+    in each, every agent eats a nonnegative amount of each item and at most
+    one unit in all, exactly one in every round but the last; and every item
+    column of the total sums to one."""
+    outcome = fa.gpbm(instance, keep_trace=keep_trace)
+    n, m = instance.agent_count, instance.item_count
+    rounds = outcome.per_round.rounds
+    assert len(rounds) == -(-m // n)
+    for c, stage in enumerate(rounds):
+        assert (stage.agent_count, stage.item_count) == (n, m)
+        for row in stage.numerators:
+            assert min(row) >= 0
+            if c < len(rounds) - 1:
+                assert sum(row) == stage.scale
+            else:
+                assert sum(row) <= stage.scale
+    total = outcome.total
+    assert all(sum(column) == total.scale for column in zip(*total.numerators))
+    return outcome
+
+
 def _witness(report, instance):
     if report.verdict:
         return None
@@ -49,7 +73,7 @@ def _assert_same_envy_reports(instance, matrix):
 @settings(max_examples=150, deadline=None)
 @given(profiles())
 def test_gpbm_matches_reference_scan(instance):
-    outcome = fa.gpbm(instance)
+    outcome = _gpbm(instance)
     total, rounds, trace = eat(instance)
     assert outcome.total.rows == total
     assert tuple(stage.rows for stage in outcome.per_round.rounds) == rounds
@@ -60,7 +84,7 @@ def test_gpbm_matches_reference_scan(instance):
         )
         == trace
     )
-    assert fa.gpbm(instance, keep_trace=False).per_round == outcome.per_round
+    assert _gpbm(instance, keep_trace=False).per_round == outcome.per_round
 
 
 def test_gpbm_growing_its_scale_twice_matches_reference_scan(monkeypatch):
@@ -78,7 +102,7 @@ def test_gpbm_growing_its_scale_twice_matches_reference_scan(monkeypatch):
         return growth, eaten, left
 
     monkeypatch.setattr(mechanisms, "_equal_rate_split", recording_split)
-    outcome = fa.gpbm(instance)
+    outcome = _gpbm(instance)
     assert growths[:2] == [3, 2]
     total, rounds, trace = eat(instance)
     assert outcome.total.rows == total
@@ -92,7 +116,7 @@ def test_gpbm_growing_its_scale_twice_matches_reference_scan(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(profiles())
 def test_birkhoff_atoms_match_reference_matcher(instance):
-    source = expand_subagents(fa.gpbm(instance, keep_trace=False).per_round)
+    source = expand_subagents(_gpbm(instance, keep_trace=False).per_round)
     decomposed = birkhoff_decompose(source)
     assert decomposed.atoms == birkhoff_atoms(source.entries, source.item_count)
 
@@ -101,7 +125,7 @@ def test_birkhoff_atoms_match_reference_matcher(instance):
 @given(st.data())
 def test_sd_envy_reports_match_pairwise_sd_dominates(data):
     instance = data.draw(profiles())
-    _assert_same_envy_reports(instance, fa.gpbm(instance, keep_trace=False).total)
+    _assert_same_envy_reports(instance, _gpbm(instance, keep_trace=False).total)
     _assert_same_envy_reports(instance, data.draw(fully_allocating(instance)))
 
 

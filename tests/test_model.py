@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairassign as fa
+from fairassign.decomposition import expand_subagents
 from fairassign.model import (
     InputError,
     RoundDecomposition,
@@ -144,11 +145,54 @@ def test_assignment_column_constraint():
         fa.DeterministicAssignment.from_bundles(2, 2, {0: [0], 1: [0]})
 
 
+def _validated(items, agent_names, orders):
+    """The instance with these index orders, built by the public, validating
+    constructor from item-name orders."""
+    return fa.Instance.from_prefs(
+        {name: [items[o] for o in order] for name, order in zip(agent_names, orders)}, items
+    )
+
+
+def _assert_same_instance(built, validated):
+    assert built == validated and hash(built) == hash(validated)
+    for view in ("pref_order", "global_rank", "better_masks", "agents"):
+        assert getattr(built, view) == getattr(validated, view)
+    assert fa.serialize_instance(built) == fa.serialize_instance(validated)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trusted_instances_equal_the_validated_route(data):
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+    orders = [data.draw(st.permutations(range(m))) for _ in range(n)]
+    instance = fa.oracle.instance_from_orders(orders, m)
+    items, names = fa.oracle.default_item_names(m), tuple(str(j + 1) for j in range(n))
+    _assert_same_instance(instance, _validated(items, names, orders))
+
+    agent = data.draw(st.integers(0, n - 1))
+    order = data.draw(st.permutations(range(m)))
+    replaced = [order if j == agent else other for j, other in enumerate(orders)]
+    misreport = instance.with_agent_order(agent, order)
+    _assert_same_instance(misreport, _validated(items, names, replaced))
+    _assert_same_instance(instance, _validated(items, names, orders))  # left unchanged
+
+    perm = dict(enumerate(data.draw(st.permutations(range(m)))))
+    relabelled = [[perm[o] for o in order] for order in orders]
+    _assert_same_instance(permute_instance(instance, perm), _validated(items, names, relabelled))
+
+
 def test_with_agent_order_rejects_unknown_agents(two_agent):
     assert two_agent.with_agent_order(1, (3, 2, 1, 0)).pref_order[1] == (3, 2, 1, 0)
     for agent in (2, 5, -1):
         with pytest.raises(InputError, match=f"agent index {agent} out of range"):
             two_agent.with_agent_order(agent, (3, 2, 1, 0))
+
+
+def test_with_agent_order_rejects_bad_orders(two_agent):
+    bad = ((0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 4), (-1, 0, 1, 2), tuple("abcd"), (0.0, 1, 2, 3))
+    for order in bad:
+        with pytest.raises(InputError, match="^replacement order is not a permutation"):
+            two_agent.with_agent_order(0, order)
 
 
 def test_assignment_views(two_agent):
@@ -240,6 +284,25 @@ def test_random_assignment_equality_and_hash_follow_rows(data):
             assert (a == b) is same
             if same:
                 assert hash(a) == hash(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(profiles(max_agents=5, max_items=10), st.data())
+def test_fraction_views_equal_one_fraction_per_entry(instance, data):
+    # `rows` and `entries` share one Fraction per distinct numerator; the
+    # 0/1 `rows` of a DeterministicAssignment are checked against the
+    # per-cell expression in test_assignment_equality_and_hash_follow_rows
+    outcome = fa.gpbm(instance, keep_trace=False)
+    drawn = fa.RandomAssignment(data.draw(share_rows(instance.agent_count, instance.item_count)))
+    for matrix in (outcome.total, *outcome.per_round.rounds, drawn):
+        scale = matrix.scale
+        assert matrix.rows == tuple(
+            tuple(Fraction(v, scale) for v in row) for row in matrix.numerators
+        )
+    source = expand_subagents(outcome.per_round)
+    assert source.entries == tuple(
+        tuple(Fraction(v, source.scale) for v in row) for row in source.numerators
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -252,7 +253,7 @@ def test_search_trivial_bound():
 @pytest.mark.parametrize("bounds", [(-1, -1), (0, 3), (3, 0)])
 def test_search_rejects_bound_below_one(bounds, monkeypatch):
     # the bounds fail before any profile is built
-    monkeypatch.setattr(fa.oracle, "instance_from_orders", None)
+    monkeypatch.setattr(fa.Instance, "_from_orders", None)
     with pytest.raises(InputError, match="bounds must be at least 1"):
         remark1_search(*bounds)
 
@@ -260,6 +261,23 @@ def test_search_rejects_bound_below_one(bounds, monkeypatch):
 def test_search_profile_cap():
     with pytest.raises(SizeLimitError):
         remark1_search(3, 3, max_profiles=10)
+
+
+@pytest.mark.parametrize(
+    "orders,item_count,message",
+    [
+        ([[0, 5]], 2, "preferences of agent '1' are not a permutation of the item set"),
+        ([[0, -1]], 2, "preferences of agent '1' are not a permutation of the item set"),
+        ([[0, 1], [1, 1]], 2, "preferences of agent '2' are not a permutation of the item set"),
+        ([[0, 1], [1]], 2, "preferences of agent '2' are not a permutation of the item set"),
+        ([[0.0, 1.0]], 2, "preferences of agent '1' are not a permutation of the item set"),
+        ([], 2, "an instance needs at least one agent"),
+        ([[]], 0, "an instance needs at least one item"),
+    ],
+)
+def test_instance_from_orders_rejects_bad_orders(orders, item_count, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        instance_from_orders(orders, item_count)
 
 
 def test_default_item_names():
