@@ -192,7 +192,7 @@ RUN_MODES = {
         "fractional": _run_gpbm_fractional,
         "lottery": lambda instance, args: (
             "decomposed_lottery",
-            {"atoms": _decomposed_payload(instance, decomposition.gpbm_lottery(instance)[1])},
+            {"atoms": _decomposed_payload(instance, decomposition._gpbm_decomposed(instance))},
         ),
     },
     "rsdq": {
@@ -401,9 +401,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 EXPERIMENT_TRIALS = {
     "gebm": lambda instance, seed: mechanisms.gebm_sample(instance, seed).total,
     "gpbm": lambda instance, seed: (
-        bvn := decomposition.birkhoff_decompose(
-            decomposition.expand_subagents(mechanisms.gpbm(instance, keep_trace=False).per_round)
-        )
+        bvn := decomposition._gpbm_decomposed(instance)
     ).atom_assignment(decomposition.sample_realization(bvn, seed)),
     "rsdq": lambda instance, seed: mechanisms.rsdq(
         instance, _shuffled_orders(1, instance.agent_count, seed)[0]

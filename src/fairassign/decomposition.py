@@ -23,9 +23,11 @@ from .model import (
     InputError,
     Instance,
     Lottery,
+    RandomAssignment,
     RoundDecomposition,
     _canonical,
     _fraction_rows,
+    _trusted,
 )
 
 
@@ -78,8 +80,15 @@ class SubagentMatrix:
 
 
 def expand_subagents(per_round: RoundDecomposition) -> SubagentMatrix:
-    """Stack per-round share rows into subagent rows, topping up with nil."""
+    """Stack per-round share rows into subagent rows, topping up with nil.
+
+    The one full-allocation check of a caller's rounds.  A valid
+    `RoundDecomposition` bounds the shapes, entries and rows, so only the
+    non-final row sums and the item column sums are checked here, and the
+    result skips the public `SubagentMatrix` constructor's checks."""
     stages = per_round.rounds
+    if not all(isinstance(stage, RandomAssignment) for stage in stages):
+        raise InputError("the rounds to expand must be share matrices, not matchings")
     n = stages[0].agent_count
     m = stages[0].item_count
     rounds = len(stages)
@@ -100,7 +109,10 @@ def expand_subagents(per_round: RoundDecomposition) -> SubagentMatrix:
                 )
             row.append(scale - consumed)
             rows.append(row)
-    return SubagentMatrix(scale, rows, n, rounds, m)
+    for o, column in zip(range(m), zip(*rows)):
+        if sum(column) != scale:
+            raise InputError(f"item column {o} must sum to exactly 1")
+    return _trusted(SubagentMatrix, *_canonical(scale, rows), n, rounds, m)
 
 
 @dataclass(frozen=True)
@@ -183,15 +195,13 @@ class DecomposedLottery:
         """Per-round one-to-one matchings of one atom."""
         _, matching = self.atoms[index]
         rounds = self.source.round_count
-        # rows are agent-major, so round c's subagents are rows c, c + rounds, ...
-        return tuple(
-            DeterministicAssignment.from_bundles(
-                self.source.agent_count,
-                self.source.item_count,
-                {j: (o,) for j, o in enumerate(matching[c::rounds]) if o is not None},
-            )
-            for c in range(rounds)
-        )
+        holders = [[None] * self.source.item_count for _ in range(rounds)]
+        # rows are agent-major: row j * rounds + c is agent j's round-c subagent
+        for row, o in enumerate(matching):
+            if o is not None:
+                holders[row % rounds][o] = row // rounds
+        n = self.source.agent_count
+        return tuple(DeterministicAssignment._from_holders(n, tuple(h)) for h in holders)
 
     def atom_round_item_sets(self, index: int) -> tuple[frozenset[int], ...]:
         """Items still unallocated at the start of each round of one atom.
@@ -317,7 +327,7 @@ def birkhoff_decompose(matrix: SubagentMatrix) -> DecomposedLottery:
         )
         for coefficient, matching in raw_atoms
     )
-    return DecomposedLottery(matrix, atoms)
+    return _trusted(DecomposedLottery, matrix, atoms)
 
 
 def _merge_subagents(
@@ -343,8 +353,12 @@ def sample_realization(decomposed: DecomposedLottery, seed: int) -> int:
     return decomposed.atom_count - 1
 
 
+def _gpbm_decomposed(instance: Instance) -> DecomposedLottery:
+    """Eat, expand, decompose, without projecting the atoms onto a lottery."""
+    return birkhoff_decompose(expand_subagents(gpbm(instance, keep_trace=False).per_round))
+
+
 def gpbm_lottery(instance: Instance) -> tuple[Lottery, DecomposedLottery]:
-    """Eat, expand, decompose: the ex-post lottery with per-atom round structure."""
-    outcome = gpbm(instance, keep_trace=False)
-    decomposed = birkhoff_decompose(expand_subagents(outcome.per_round))
+    """The ex-post lottery of gpbm, with its per-atom round structure."""
+    decomposed = _gpbm_decomposed(instance)
     return decomposed.projected, decomposed

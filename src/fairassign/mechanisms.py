@@ -36,6 +36,7 @@ from .model import (
     RandomAssignment,
     RoundDecomposition,
     SizeLimitError,
+    _trusted,
 )
 
 DEFAULT_BRANCH_CAP = 10**6
@@ -163,7 +164,8 @@ def _engine_pass(
 def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
     """One seeded run: a single path through the engine's passes, each
     contested item with more than one applicant, in ascending item order,
-    going to the applicant drawn by `rng.below(len(group))`."""
+    going to the applicant drawn by `rng.below(len(group))`.  Like `gpbm`,
+    it skips the public constructors' checks, which its rounds pass."""
     rng = ModularRng(seed)
     n = instance.agent_count
     m = instance.item_count
@@ -181,11 +183,8 @@ def gebm_sample(instance: Instance, seed: int) -> GebmOutcome:
         for j, (o, _) in zip(winners, contested):
             rounds[round_index][o] = j
         state = successor(winners)
-    return GebmOutcome(
-        RoundDecomposition(
-            tuple(DeterministicAssignment._from_holders(n, tuple(h)) for h in rounds)
-        )
-    )
+    matchings = tuple(DeterministicAssignment._from_holders(n, tuple(h)) for h in rounds)
+    return _trusted(GebmOutcome, _trusted(RoundDecomposition, matchings))
 
 
 def _engine_states(instance: Instance) -> Iterator[tuple[EngineState, Contested, list[Move]]]:
@@ -344,15 +343,6 @@ class GpbmOutcome:
                         f"in non-final round {c + 1}, expected 1"
                     )
 
-    @classmethod
-    def _from_rounds(cls, rounds: tuple, supply_trace: tuple | None) -> "GpbmOutcome":
-        """Skip validation, here and in the round decomposition, for rounds
-        that `gpbm` just computed."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "per_round", RoundDecomposition._from_rounds(rounds))
-        object.__setattr__(out, "supply_trace", supply_trace)
-        return out
-
     @cached_property
     def total(self) -> RandomAssignment:
         """The entrywise sum of the rounds, each brought to their common scale."""
@@ -472,9 +462,9 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     stages = [[[0] * m for _ in range(n)] for _ in range(round_index)]
     for c, j, o, amount, at_scale in eaten:
         stages[c][j][o] = amount * (scale // at_scale)
-    return GpbmOutcome._from_rounds(
-        tuple(RandomAssignment._from_scaled(scale, rows) for rows in stages),
-        tuple(trace) if keep_trace else None,
+    rounds = tuple(RandomAssignment._from_scaled(scale, rows) for rows in stages)
+    return _trusted(
+        GpbmOutcome, _trusted(RoundDecomposition, rounds), tuple(trace) if keep_trace else None
     )
 
 
@@ -492,20 +482,16 @@ def rsdq(
         quota = instance.rounds_needed
     if quota < 1:
         raise InputError("quota must be at least 1")
-    remaining = set(range(instance.item_count))
-    bundles: dict[int, list[int]] = {}
+    holders: list[int | None] = [None] * instance.item_count
     for j in priority_order:
-        picks: list[int] = []
+        picks = 0
         for o in instance.pref_order[j]:
-            if len(picks) == quota:
+            if picks == quota:
                 break
-            if o in remaining:
-                picks.append(o)
-        bundles[j] = picks
-        remaining.difference_update(picks)
-    return DeterministicAssignment.from_bundles(
-        instance.agent_count, instance.item_count, bundles
-    )
+            if holders[o] is None:
+                holders[o] = j
+                picks += 1
+    return DeterministicAssignment._from_holders(instance.agent_count, tuple(holders))
 
 
 def rsdq_lottery(instance: Instance, quota: int | None = None) -> Lottery:

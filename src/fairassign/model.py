@@ -45,6 +45,15 @@ def format_fraction(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def _trusted(cls, *values):
+    """A `cls` record holding `values` in field order, without the public
+    constructor's checks: for records a producer just built or checked."""
+    out = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(out, name, value)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Instances
 
@@ -115,15 +124,6 @@ class Instance:
         object.__setattr__(self, "agent_names", tuple(a.name for a in agents))
         object.__setattr__(self, "pref_order", tuple(orders))
 
-    @classmethod
-    def _from_orders(cls, items: tuple, agent_names: tuple, pref_order: tuple) -> "Instance":
-        """Skip validation for index orders a producer just built or checked."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "items", items)
-        object.__setattr__(out, "agent_names", agent_names)
-        object.__setattr__(out, "pref_order", pref_order)
-        return out
-
     # -- construction helpers
 
     @classmethod
@@ -160,7 +160,7 @@ class Instance:
         if order is None:
             raise InputError("replacement order is not a permutation of the item indices")
         orders = self.pref_order[:agent] + (order,) + self.pref_order[agent + 1 :]
-        return Instance._from_orders(self.items, self.agent_names, orders)
+        return _trusted(Instance, self.items, self.agent_names, orders)
 
     # -- derived views (the dataclass itself stays immutable)
 
@@ -298,6 +298,8 @@ class DeterministicAssignment:
         object.__setattr__(self, "agent_count", len(rows))
         object.__setattr__(self, "holders", tuple(holders))
 
+    # This and `RandomAssignment._from_scaled` skip `_trusted`'s loop, which
+    # costs measurably once per lottery atom, enumerated assignment or round.
     @classmethod
     def _from_holders(
         cls, agent_count: int, holders: tuple[int | None, ...]
@@ -559,13 +561,6 @@ class RoundDecomposition:
             if over:
                 raise InputError("an agent exceeds one unit within a single round")
 
-    @classmethod
-    def _from_rounds(cls, rounds: tuple) -> "RoundDecomposition":
-        """Skip validation for rounds a producer just built itself."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "rounds", rounds)
-        return out
-
     @property
     def round_count(self) -> int:
         return len(self.rounds)
@@ -584,7 +579,7 @@ def permute_instance(instance: Instance, perm: Mapping[int, int]) -> Instance:
     """Relabel items inside every preference list (the item set itself is fixed)."""
     _check_permutation(instance.item_count, perm)
     orders = tuple(tuple(perm[o] for o in order) for order in instance.pref_order)
-    return Instance._from_orders(instance.items, instance.agent_names, orders)
+    return _trusted(Instance, instance.items, instance.agent_names, orders)
 
 
 def _permute_columns(rows: tuple[tuple, ...], perm: Mapping[int, int]) -> tuple[tuple, ...]:

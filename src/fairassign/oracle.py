@@ -23,6 +23,7 @@ from .model import (
     Instance,
     SizeLimitError,
     _as_order,
+    _trusted,
     format_fraction,
     permute_instance,
     permute_lottery,
@@ -55,7 +56,7 @@ def instance_from_orders(orders: Sequence[Sequence[int]], item_count: int) -> In
     for name, order in zip(names, checked):
         if order is None:
             raise InputError(f"preferences of agent {name!r} are not a permutation of the item set")
-    return Instance._from_orders(default_item_names(item_count), names, checked)
+    return _trusted(Instance, default_item_names(item_count), names, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,7 @@ def remark1_search(
     names = tuple(str(j + 1) for j in range(bound_n))
     orders = list(itertools.permutations(range(bound_m)))
     for profile in itertools.product(orders, repeat=bound_n):
-        instance = Instance._from_orders(items, names, profile)
+        instance = _trusted(Instance, items, names, profile)
         expected = gebm_expected(instance)
         for prop, check in REMARK1_CHECKS.items():
             if prop in properties and not check(instance, expected).verdict:

@@ -60,6 +60,22 @@ def test_expand_rejects_underfull_early_round():
         expand_subagents(RoundDecomposition((early, late)))
 
 
+def test_expand_rejects_matching_rounds(two_agent):
+    per_round = fa.gebm_sample(two_agent, 1).per_round
+    with pytest.raises(
+        InputError, match="^the rounds to expand must be share matrices, not matchings$"
+    ):
+        expand_subagents(per_round)
+
+
+def test_expand_rejects_rounds_that_leave_an_item_short():
+    # a valid round decomposition whose item column 2 sums to 1/2
+    first = RandomAssignment(((1, 0, 0, 0), (0, 1, 0, 0)))
+    second = RandomAssignment(((0, 0, F(1, 2), 0), (0, 0, 0, F(1, 2))))
+    with pytest.raises(InputError, match="^item column 2 must sum to exactly 1$"):
+        expand_subagents(RoundDecomposition((first, second)))
+
+
 def test_birkhoff_two_agent(two_agent):
     decomposed = birkhoff_decompose(expand_subagents(fa.gpbm(two_agent).per_round))
     assert decomposed.atom_count == 2
@@ -88,7 +104,8 @@ def test_birkhoff_atom_bound_and_reconstruction(four_agent):
     decomposed = birkhoff_decompose(matrix)
     size = matrix.agent_count * matrix.round_count
     assert decomposed.atom_count <= size * size - 2 * size + 2
-    # the constructor re-validates reconstruction; also confirm projection mean
+    # birkhoff_decompose skips the constructor's reconstruction check, which
+    # tests/test_eating_differential.py runs; here, confirm the projection's mean
     assert decomposed.projected.expected() == fa.gpbm(four_agent).total
 
 

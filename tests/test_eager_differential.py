@@ -86,3 +86,7 @@ def test_sample_matches_reference_sampler(instance, seed):
     assert outcome.remaining_items_per_round == tuple(
         frozenset(instance.item_index[item] for item in start) for start, _ in reference
     )
+    # gebm_sample skips the public constructors' checks; they must accept the
+    # outcome, rebuilt round by round, and give an equal one
+    matchings = tuple(fa.DeterministicAssignment(stage.rows) for stage in outcome.per_round.rounds)
+    assert fa.GebmOutcome(fa.RoundDecomposition(matchings)) == outcome

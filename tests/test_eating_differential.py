@@ -1,7 +1,9 @@
 """The eating pipeline's fast routines against the plain scans in
 `eating_reference`, on random impartial-culture, identical and near-identical
 profiles: equal gpbm matrices and traces, equal BvN atoms in the same order,
-and equal sd-envy and EF1 verdicts and first witnesses."""
+and equal sd-envy and EF1 verdicts and first witnesses.  Every gpbm and BvN
+output is also rebuilt through the public constructors, whose checks the
+producers skip."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,12 @@ from hypothesis import strategies as st
 import fairassign as fa
 from fairassign import mechanisms
 from eating_reference import birkhoff_atoms, eat, ef1_witness, sd_envy_witnesses
-from fairassign.decomposition import birkhoff_decompose, expand_subagents
+from fairassign.decomposition import (
+    DecomposedLottery,
+    SubagentMatrix,
+    birkhoff_decompose,
+    expand_subagents,
+)
 from profile_strategies import fully_allocating, profiles
 
 
@@ -34,26 +41,19 @@ def deterministic(draw, instance):
 
 
 def _gpbm(instance, keep_trace=True):
-    """gpbm's outcome, once it is shown to keep the invariants that
-    `GpbmOutcome` and `RoundDecomposition` check on public construction and
-    gpbm's trusted factories skip: ceil(m/n) rounds of the instance's shape;
-    in each, every agent eats a nonnegative amount of each item and at most
-    one unit in all, exactly one in every round but the last; and every item
-    column of the total sums to one."""
+    """gpbm's outcome, once the public constructors, whose checks gpbm skips,
+    accept it rebuilt round by round and give an equal outcome: ceil(m/n)
+    rounds of the instance's shape, shares in [0, 1] in canonical form, every
+    agent eating at most one unit a round and exactly one in every round but
+    the last, and every item column of the total summing to one."""
     outcome = fa.gpbm(instance, keep_trace=keep_trace)
-    n, m = instance.agent_count, instance.item_count
-    rounds = outcome.per_round.rounds
-    assert len(rounds) == -(-m // n)
-    for c, stage in enumerate(rounds):
-        assert (stage.agent_count, stage.item_count) == (n, m)
-        for row in stage.numerators:
-            assert min(row) >= 0
-            if c < len(rounds) - 1:
-                assert sum(row) == stage.scale
-            else:
-                assert sum(row) <= stage.scale
-    total = outcome.total
-    assert all(sum(column) == total.scale for column in zip(*total.numerators))
+    rounds = tuple(fa.RandomAssignment(stage.rows) for stage in outcome.per_round.rounds)
+    assert (rounds[0].agent_count, rounds[0].item_count) == (
+        instance.agent_count,
+        instance.item_count,
+    )
+    rebuilt = fa.GpbmOutcome(fa.RoundDecomposition(rounds), outcome.supply_trace)
+    assert rebuilt == outcome
     return outcome
 
 
@@ -119,6 +119,13 @@ def test_birkhoff_atoms_match_reference_matcher(instance):
     source = expand_subagents(_gpbm(instance, keep_trace=False).per_round)
     decomposed = birkhoff_decompose(source)
     assert decomposed.atoms == birkhoff_atoms(source.entries, source.item_count)
+    # both producers skip the public constructors' checks; they must accept
+    # the subagent matrix and the atoms and give equal records
+    shape = (source.agent_count, source.round_count, source.item_count)
+    assert SubagentMatrix(source.scale, source.numerators, *shape) == source
+    assert DecomposedLottery(source, decomposed.atoms) == decomposed
+    size = source.agent_count * source.round_count
+    assert decomposed.atom_count <= size * size - 2 * size + 2
 
 
 @settings(max_examples=100, deadline=None)

@@ -253,7 +253,7 @@ def test_search_trivial_bound():
 @pytest.mark.parametrize("bounds", [(-1, -1), (0, 3), (3, 0)])
 def test_search_rejects_bound_below_one(bounds, monkeypatch):
     # the bounds fail before any profile is built
-    monkeypatch.setattr(fa.Instance, "_from_orders", None)
+    monkeypatch.setattr(fa.oracle, "_trusted", None)
     with pytest.raises(InputError, match="bounds must be at least 1"):
         remark1_search(*bounds)
 
