@@ -91,6 +91,8 @@ class GebmOutcome:
 
     def __post_init__(self) -> None:
         rounds = self.per_round.rounds
+        if not isinstance(rounds[0], DeterministicAssignment):
+            raise InputError("gebm rounds must be matchings")
         allocated = [o for stage in rounds for o, j in enumerate(stage.holders) if j is not None]
         if len(allocated) != len(set(allocated)):
             raise InputError("two rounds allocate the same item")
@@ -330,6 +332,8 @@ class GpbmOutcome:
     supply_trace: tuple[ConsumptionStep, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.per_round.rounds[0], RandomAssignment):
+            raise InputError("gpbm rounds must be share matrices")
         total = self.total
         for o, column in enumerate(zip(*total.numerators)):
             if sum(column) != total.scale:
@@ -391,6 +395,54 @@ def _equal_rate_split(budgets: Sequence[int], supply: int) -> tuple[int, list[in
     return 1, eaten, left
 
 
+def _eat(
+    prefs: Sequence[Sequence[int]], state: tuple, agent: int, trace: list | None = None
+) -> tuple:
+    """`gpbm`'s eating loop, resumable.  `state` is (round index, consumption
+    round r, scale, supply, budgets, hungry agents, stocked item count, eaten
+    list of (round, agent, item, amount, the scale it is in)); supply, budgets
+    and eaten are written in place.  Runs until nothing is stocked, or pauses
+    at the start of consumption round r when `agent` is hungry and r is
+    len(prefs[agent]); with the agent's whole order it never pauses.  Returns
+    the state where it stopped."""
+    round_index, r, scale, supply, budget, hungry, stocked, eaten = state
+    n = len(prefs)
+    m = len(supply)
+    known = len(prefs[agent])
+    while stocked:
+        if r == m or not hungry:
+            round_index += 1
+            r = 0
+            budget = [scale] * n
+            hungry = list(range(n))
+        if r == known and budget[agent]:
+            break
+        groups: dict[int, list[int]] = {}
+        for j in hungry:
+            o = prefs[j][r]
+            if supply[o]:
+                groups.setdefault(o, []).append(j)
+        for o in sorted(groups):
+            eaters = groups[o]
+            growth, amounts, left = _equal_rate_split([budget[j] for j in eaters], supply[o])
+            if growth > 1:
+                scale *= growth
+                supply = [v * growth for v in supply]
+                budget = [v * growth for v in budget]
+            supply[o] = left
+            if not left:
+                stocked -= 1
+            for j, amount in zip(eaters, amounts):
+                eaten.append((round_index - 1, j, o, amount, scale))
+                budget[j] -= amount
+            if trace is not None:
+                shares = tuple(Fraction(amount, scale) for amount in amounts)
+                trace.append(ConsumptionStep(round_index, r + 1, o, tuple(eaters), shares))
+        hungry = [j for j in hungry if budget[j]]
+        r += 1
+    return round_index, r, scale, supply, budget, hungry, stocked, eaten
+
+
 def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     """The simultaneous-eating mechanism, computed exactly.
 
@@ -411,50 +463,9 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     """
     n = instance.agent_count
     m = instance.item_count
-    prefs = instance.pref_order
-    scale = 1
-    supply = [1] * m
-    stocked = m
-    # (round, agent, item, amount, the scale the amount is in)
-    eaten: list[tuple[int, int, int, int, int]] = []
-    trace: list[ConsumptionStep] = []
-    round_index = 0
-    while stocked:
-        round_index += 1
-        budget = [scale] * n
-        hungry = list(range(n))
-        for r in range(m):
-            if not hungry or not stocked:
-                break
-            groups: dict[int, list[int]] = {}
-            for j in hungry:
-                o = prefs[j][r]
-                if supply[o]:
-                    groups.setdefault(o, []).append(j)
-            for o in sorted(groups):
-                eaters = groups[o]
-                growth, amounts, left = _equal_rate_split([budget[j] for j in eaters], supply[o])
-                if growth > 1:
-                    scale *= growth
-                    supply = [v * growth for v in supply]
-                    budget = [v * growth for v in budget]
-                supply[o] = left
-                if not left:
-                    stocked -= 1
-                for j, amount in zip(eaters, amounts):
-                    eaten.append((round_index - 1, j, o, amount, scale))
-                    budget[j] -= amount
-                if keep_trace:
-                    trace.append(
-                        ConsumptionStep(
-                            round_index,
-                            r + 1,
-                            o,
-                            tuple(eaters),
-                            tuple(Fraction(amount, scale) for amount in amounts),
-                        )
-                    )
-            hungry = [j for j in hungry if budget[j]]
+    trace: list[ConsumptionStep] | None = [] if keep_trace else None
+    start = (0, m, 1, [1] * m, [], [], m, [])
+    round_index, _, scale, _, _, _, _, eaten = _eat(instance.pref_order, start, 0, trace)
     if round_index != instance.rounds_needed:
         raise AssertionError(
             f"eating ran {round_index} rounds, expected {instance.rounds_needed}"
@@ -466,6 +477,33 @@ def gpbm(instance: Instance, keep_trace: bool = True) -> GpbmOutcome:
     return _trusted(
         GpbmOutcome, _trusted(RoundDecomposition, rounds), tuple(trace) if keep_trace else None
     )
+
+
+def _gpbm_report_classes(instance: Instance, agent: int) -> Iterator[tuple]:
+    """`agent`'s reports grouped by the prefix of them that gpbm reads: it
+    reads position r in consumption round r while the agent is hungry, and
+    every round restarts at position 0, so reports sharing the read prefix
+    share the run.  A
+    depth-first search resumes `_eat` where it pauses, once per unused item in
+    ascending order, each on its own copy of the state.  Yields (prefix,
+    scale, row numerators) per class, in `itertools.permutations` order."""
+    m = instance.item_count
+    prefs = list(instance.pref_order)
+    stack: list[tuple[tuple[int, ...], tuple]] = [((), (0, m, 1, [1] * m, [], [], m, []))]
+    while stack:
+        prefix, state = stack.pop()
+        prefs[agent] = prefix
+        round_index, r, scale, supply, budget, hungry, stocked, eaten = _eat(prefs, state, agent)
+        if stocked:
+            for o in sorted(set(range(m)).difference(prefix), reverse=True):
+                paused = (round_index, r, scale, supply[:], budget[:], hungry[:], stocked, eaten[:])
+                stack.append((prefix + (o,), paused))
+            continue
+        row = [0] * m
+        for _, j, o, amount, at_scale in eaten:
+            if j == agent:
+                row[o] += amount * (scale // at_scale)
+        yield prefix, scale, row
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,8 @@ class DeterministicAssignment:
         if not rows:
             raise InputError("assignment needs at least one agent row")
         m = len(rows[0])
+        if not m:
+            raise InputError("assignment needs at least one item column")
         for row in rows:
             if len(row) != m:
                 raise InputError("assignment rows have inconsistent lengths")
@@ -423,6 +425,8 @@ class RandomAssignment:
         if not numerators:
             raise InputError("random assignment needs at least one agent row")
         m = len(numerators[0])
+        if not m:
+            raise InputError("random assignment needs at least one item column")
         for row in numerators:
             if len(row) != m:
                 raise InputError("random assignment rows have inconsistent lengths")
@@ -552,6 +556,8 @@ class RoundDecomposition:
                 f"decomposition has {len(self.rounds)} rounds, expected ceil(m/n) = {expected_rounds}"
             )
         for stage in self.rounds:
+            if type(stage) is not type(first):
+                raise InputError("rounds mix matchings and share matrices")
             if stage.agent_count != n or stage.item_count != m:
                 raise InputError("round matrices have inconsistent shapes")
             if isinstance(stage, DeterministicAssignment):

@@ -4,8 +4,8 @@ Brute-force routines here deliberately avoid the graph-based checkers in
 `properties`: efficiency is re-derived by exhaustive enumeration so the two
 routes can be compared (`pe_bruteforce` reads only the instance's
 `global_rank`, never the `better_masks` that `check_pe_acyclic` walks), and
-the misreport auditor replays the exact mechanisms under every possible
-unilateral deviation.
+the misreport auditor covers every unilateral deviation, with one run of the
+exact mechanism per class of reports that it reads alike.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .mechanisms import DEFAULT_BRANCH_CAP, gebm_expected, gebm_lottery, gpbm
+from .mechanisms import DEFAULT_BRANCH_CAP, _gpbm_report_classes, gebm_expected, gebm_lottery, gpbm
 from .model import (
     DeterministicAssignment,
     InputError,
@@ -180,19 +180,32 @@ class SpWitness:
         }
 
 
+def _each_report(expected, instance: Instance, agent: int) -> Iterator[tuple]:
+    """One class per report of `agent` but its true order, each run in full."""
+    true_order = instance.pref_order[agent]
+    for reported in itertools.permutations(range(instance.item_count)):
+        if reported != true_order:
+            matrix = expected(instance.with_agent_order(agent, reported))
+            yield reported, matrix.scale, matrix.numerators[agent]
+
+
 # mechanism -> (expected matrix(instance), exact output(instance, branch cap),
-# relabel(output, item permutation)).  Entries look the mechanisms up when
-# called, so that wrappers installed on this module see every call.
+# relabel(output, item permutation), misreport classes(instance, agent) as
+# (prefix, scale, row numerators): each report starting with the prefix gives
+# the agent row / scale).  Entries look the mechanisms up when called, so that
+# wrappers installed on this module see every call.
 EXACT_MECHANISMS = {
     "gebm": (
         lambda instance: gebm_expected(instance),
         lambda instance, cap: gebm_lottery(instance, cap),
         lambda lottery, permutation: permute_lottery(lottery, permutation),
+        lambda instance, agent: _each_report(gebm_expected, instance, agent),
     ),
     "gpbm": (
         lambda instance: gpbm(instance, keep_trace=False).total,
         lambda instance, cap: gpbm(instance, keep_trace=False).total,
         lambda matrix, permutation: permute_random(matrix, permutation),
+        lambda instance, agent: _gpbm_report_classes(instance, agent),
     ),
 }
 
@@ -210,8 +223,11 @@ def sd_wsp_audit(
 ) -> SpWitness | None:
     """Search every unilateral misreport for a dominance-improving deviation.
 
-    Agents and the m! reported orders are scanned in a fixed order, so the
-    first witness is deterministic.  Returns None when no deviation helps.
+    Each agent's m! reported orders are searched in `itertools.permutations`
+    order, one run per class of reports that share the prefix the mechanism
+    reads (gebm: every report; gpbm: `mechanisms._gpbm_report_classes`).  The
+    witness is the first report of the first improving class, the one a scan
+    of every report finds first.  Returns None when no deviation helps.
 
     An agent whose true order repeats an earlier agent's is skipped: both
     mechanisms are anonymous, so swapping the two clones maps each of the
@@ -223,7 +239,7 @@ def sd_wsp_audit(
         raise SizeLimitError(
             f"misreport audit over {m}! orders per agent exceeds max_items={max_items}"
         )
-    expected = _exact(mechanism)[0]
+    expected, _, _, report_classes = _exact(mechanism)
     truthful = expected(instance)
     orders = instance.pref_order
     for agent in range(instance.agent_count):
@@ -231,19 +247,15 @@ def sd_wsp_audit(
         if true_order in orders[:agent]:
             continue
         truthful_row = truthful.numerators[agent]
-        for reported in itertools.permutations(range(m)):
-            if reported == true_order:
-                continue
-            manipulated = expected(instance.with_agent_order(agent, reported))
-            row, scale = manipulated.numerators[agent], manipulated.scale
+        for prefix, scale, row in report_classes(instance, agent):
             if _sd_improves(true_order, row, scale, truthful_row, truthful.scale):
                 return SpWitness(
                     mechanism,
                     instance,
                     agent,
-                    tuple(reported),
+                    prefix + tuple(sorted(set(range(m)).difference(prefix))),
                     truthful.row(agent),
-                    manipulated.row(agent),
+                    tuple(Fraction(v, scale) for v in row),
                 )
     return None
 
@@ -281,7 +293,7 @@ def neutrality_audit(
     lotteries for the eager Boston mechanism.
     """
     relabelled = permute_instance(instance, permutation)
-    _, output, relabel = _exact(mechanism)
+    _, output, relabel, _ = _exact(mechanism)
     lhs = output(relabelled, max_branches)
     if lhs == relabel(output(instance, max_branches), permutation):
         return PropertyReport("neutrality", True)

@@ -108,6 +108,13 @@ def test_gebm_outcome_rejects_item_in_two_rounds():
         fa.GebmOutcome(RoundDecomposition((first, second)))
 
 
+def test_outcomes_reject_rounds_of_the_other_kind(two_agent):
+    with pytest.raises(InputError, match="^gebm rounds must be matchings$"):
+        fa.GebmOutcome(fa.gpbm(two_agent).per_round)
+    with pytest.raises(InputError, match="^gpbm rounds must be share matrices$"):
+        fa.GpbmOutcome(fa.gebm_sample(two_agent, 1).per_round)
+
+
 def test_lottery_two_agent(two_agent):
     lot = fa.gebm_lottery(two_agent)
     assert lot.atom_count == 4

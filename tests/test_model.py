@@ -221,6 +221,7 @@ def test_random_assignment_bounds():
         (((F(1, 2),), (0, 1)), "random assignment rows have inconsistent lengths"),
         (((F(3, 2), 0), (0, 1)), "share 3/2 is outside [0, 1]"),
         ((("1/2", "-1/2"),), "share -1/2 is outside [0, 1]"),
+        (((),), "random assignment needs at least one item column"),
     ],
 )
 def test_random_assignment_constructor_messages(rows, message):
@@ -363,6 +364,14 @@ def test_round_decomposition_rejects_an_over_one_unit_row_of_either_stage_type()
         RoundDecomposition((half, over))
 
 
+def test_round_decomposition_rejects_mixed_round_kinds():
+    matching = fa.DeterministicAssignment.from_bundles(2, 4, {0: [0], 1: [2]})
+    shares = fa.RandomAssignment(((0, F(1, 2), 0, F(1, 2)), (0, F(1, 2), 0, F(1, 2))))
+    for rounds in ((matching, shares), (shares, matching)):
+        with pytest.raises(InputError, match="^rounds mix matchings and share matrices$"):
+            RoundDecomposition(rounds)
+
+
 @pytest.mark.parametrize(
     "rows,message",
     [
@@ -370,6 +379,7 @@ def test_round_decomposition_rejects_an_over_one_unit_row_of_either_stage_type()
         (((1, 0), (0,)), "assignment rows have inconsistent lengths"),
         (((2, 0), (0, 1)), "assignment entries must be 0 or 1"),
         (((0, 1), (0, 1)), "item column 1 is allocated more than once"),
+        (((),), "assignment needs at least one item column"),
     ],
 )
 def test_assignment_constructor_messages(rows, message):
@@ -405,7 +415,8 @@ def _every_construction(agent_count, holders):
 
 @given(st.data())
 def test_assignment_equality_and_hash_follow_rows(data):
-    shape = st.tuples(st.integers(1, 4), st.integers(0, 5))
+    # the public constructor rejects a matrix with no item columns
+    shape = st.tuples(st.integers(1, 4), st.integers(1, 5))
     n1, m1 = data.draw(shape)
     n2, m2 = data.draw(st.one_of(st.just((n1, m1)), shape))
     h1 = data.draw(holders_lists(n1, m1))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import audit_reference
 import fairassign as fa
-from fairassign.model import InputError, SizeLimitError
+from fairassign.mechanisms import _gpbm_report_classes
+from fairassign.model import InputError, SizeLimitError, _trusted
 from fairassign.oracle import (
     default_item_names,
     enumerate_assignments,
@@ -176,16 +178,92 @@ def test_sp_audit_skipping_clones_matches_full_scan(instance, mechanism):
 
 
 def test_sp_audit_scans_one_agent_per_distinct_order(monkeypatch):
-    # three clones and one other agent: gpbm is run once truthfully, then
-    # for the 23 misreports of agent 1 and of agent 4 only
+    # three clones and one other agent: the audit runs gpbm once truthfully
+    # and walks the misreports of agents 1 and 4 only; the full scan runs it
+    # once truthfully and for the 23 misreports of every agent
     inst = instance_from_orders([[0, 1, 2, 3]] * 3 + [[2, 0, 1, 3]], 4)
     calls = []
+    walked = []
     monkeypatch.setattr(
         "fairassign.oracle.gpbm", lambda instance, **kw: calls.append(1) or fa.gpbm(instance, **kw)
     )
+    monkeypatch.setattr(
+        "fairassign.oracle._gpbm_report_classes",
+        lambda instance, agent: walked.append(agent) or _gpbm_report_classes(instance, agent),
+    )
     assert sd_wsp_audit("gpbm", inst) is None
+    assert (len(calls), walked) == (1, [0, 3])
     assert audit_reference.sd_wsp_audit("gpbm", inst) is None
-    assert len(calls) == (1 + 2 * 23) + (1 + 4 * 23)
+    assert len(calls) == 1 + (1 + 4 * 23)
+
+
+@st.composite
+def small_profiles(draw, min_items=1):
+    """Profiles of 1-4 agents over min_items-5 items: impartial culture, or
+    orders drawn from a few distinct ones, so that clones are common."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(min_items, 5))
+    if draw(st.booleans()):
+        return instance_from_orders([draw(st.permutations(range(m))) for _ in range(n)], m)
+    pool = [draw(st.permutations(range(m))) for _ in range(draw(st.integers(1, n)))]
+    return instance_from_orders([draw(st.sampled_from(pool)) for _ in range(n)], m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_profiles())
+def test_gpbm_report_classes_match_every_member(instance):
+    # each class is the next (m - k)! reports of itertools.permutations, and
+    # gpbm run on every one of them gives the agent the class's row
+    m = instance.item_count
+    for agent in range(instance.agent_count):
+        classes = list(_gpbm_report_classes(instance, agent))
+        prefixes = [prefix for prefix, _, _ in classes]
+        assert prefixes == sorted(prefixes)
+        assert sum(math.factorial(m - len(prefix)) for prefix in prefixes) == math.factorial(m)
+        reports = itertools.permutations(range(m))
+        for prefix, scale, row in classes:
+            shares = tuple(F(v, scale) for v in row)
+            for report in itertools.islice(reports, math.factorial(m - len(prefix))):
+                assert report[: len(prefix)] == prefix
+                manipulated = instance.with_agent_order(agent, report)
+                assert fa.gpbm(manipulated, keep_trace=False).total.row(agent) == shares
+        assert next(reports, None) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_profiles(min_items=4))
+def test_gpbm_sp_audit_matches_full_scan_up_to_five_items(instance):
+    # witnesses are common at four and five items
+    assert _payload(sd_wsp_audit("gpbm", instance)) == _payload(
+        audit_reference.sd_wsp_audit("gpbm", instance)
+    )
+
+
+class _RecordedOrder(tuple):
+    """A preference order that records every position read from it by index."""
+
+    def __getitem__(self, position):
+        self.read.add(position)
+        return tuple.__getitem__(self, position)
+
+
+def test_gpbm_report_classes_branch_only_where_gpbm_reads():
+    # a walk that branched before the run reads a position would stay exact
+    # but yield more classes than there are distinct read prefixes
+    rng = random.Random(13)
+    inst = instance_from_orders([rng.sample(range(5), 5) for _ in range(4)], 5)
+    for agent in range(inst.agent_count):
+        read_prefixes = set()
+        for report in itertools.permutations(range(5)):
+            order = _RecordedOrder(report)
+            order.read = set()
+            orders = inst.pref_order[:agent] + (order,) + inst.pref_order[agent + 1 :]
+            fa.gpbm(_trusted(fa.Instance, inst.items, inst.agent_names, orders), keep_trace=False)
+            assert order.read == set(range(len(order.read)))  # gpbm reads a prefix
+            read_prefixes.add(report[: len(order.read)])
+        prefixes = [prefix for prefix, _, _ in _gpbm_report_classes(inst, agent)]
+        assert len(prefixes) == len(read_prefixes) < 120
+        assert set(prefixes) == read_prefixes
 
 
 # ---------------------------------------------------------------------------
